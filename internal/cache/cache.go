@@ -8,6 +8,20 @@
 // a configurable number of lines ahead. Fills call back into the memory
 // model so traffic is attributed to the serving tier, and the counter set
 // mirrors the paper's equations (1) and (2) for accuracy and coverage.
+//
+// Line state lives in flat set-major arrays: the ways of set s are lines
+// s*Ways to (s+1)*Ways-1, with the tags in an array of their own so a lookup
+// scans contiguous words. The valid ways of every set form a prefix,
+// because a fill takes the set's first invalid way and only Flush
+// invalidates lines, all of them at once. A set therefore keeps a count of
+// its valid ways in place of per-line valid bits, and a lookup scans only
+// that prefix. Each set also links its valid lines into a recency list
+// ordered by (clock of the last touch, way), so the victim of a fill into a
+// full set is the list's least recent end, found without a scan. The lines
+// an access touches share its clock; the list orders them by way, so the
+// victim among them is the lowest way, the choice of a scan for the oldest
+// timestamp that keeps the first of equal ones. The stream table keeps its
+// valid entries as a prefix for the same reason.
 package cache
 
 import "fmt"
@@ -118,12 +132,18 @@ func (c Counters) Coverage() float64 {
 	return float64(c.PrefetchFills-c.UselessPrefetch) / float64(den)
 }
 
-// line is one cache line's metadata.
-type line struct {
-	tag        uint64 // line address (addr >> 6)
-	valid      bool
-	lru        uint64
-	prefetched bool // filled by prefetcher and not yet demand-hit
+// lineState is a cache line's state besides its tag.
+type lineState struct {
+	stamp        uint64 // clock of the last demand hit or fill
+	older, newer int32  // neighbours in the set's recency list, -1 past its ends
+	prefetched   bool   // filled by prefetcher and not yet demand-hit
+}
+
+// setState is one set's bookkeeping: the number of valid ways (the valid
+// lines are the set's first n) and the two ends of its recency list, as
+// line indices (-1 while the set is empty).
+type setState struct {
+	n, lru, mru int32
 }
 
 // Throttle thresholds: the streamer measures its own accuracy over windows
@@ -150,9 +170,15 @@ type stream struct {
 // Cache is the L2 model. It is not safe for concurrent use; the emulated
 // platform is single-node and the workloads drive it from one goroutine.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	nsets    uint64
+	cfg   Config
+	ways  int32
+	nsets uint64
+	lpp   uint64 // lines per page
+
+	tags  []uint64    // line address of every line, set-major
+	lines []lineState // the rest of every line's state, set-major
+	sets  []setState
+
 	clock    uint64
 	streams  []stream
 	ctr      Counters
@@ -173,15 +199,18 @@ func New(cfg Config, fill func(lineAddr uint64, reason FillReason)) *Cache {
 	if nsets == 0 {
 		nsets = 1
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*c.Ways)
+	sets := make([]setState, nsets)
 	for i := range sets {
-		sets[i], backing = backing[:c.Ways:c.Ways], backing[c.Ways:]
+		sets[i] = setState{lru: -1, mru: -1}
 	}
 	return &Cache{
 		cfg:      c,
-		sets:     sets,
+		ways:     int32(c.Ways),
 		nsets:    uint64(nsets),
+		lpp:      c.PageSize / LineSize,
+		tags:     make([]uint64, nsets*c.Ways),
+		lines:    make([]lineState, nsets*c.Ways),
+		sets:     sets,
 		streams:  make([]stream, c.PrefetchStreams),
 		fill:     fill,
 		disabled: !c.PrefetchEnabled,
@@ -198,21 +227,18 @@ func (c *Cache) PrefetchEnabled() bool { return !c.disabled }
 // Counters returns a copy of the counter set.
 func (c *Cache) Counters() Counters { return c.ctr }
 
-// ResetCounters clears the counters without flushing cache contents
-// (phase boundary).
-func (c *Cache) ResetCounters() { c.ctr = Counters{} }
-
 // Flush invalidates all lines and stream state. Unused prefetched lines
 // count as useless, as they would on eviction.
 func (c *Cache) Flush() {
 	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.prefetched {
+		s := &c.sets[si]
+		base := int32(si) * c.ways
+		for _, l := range c.lines[base : base+s.n] {
+			if l.prefetched {
 				c.ctr.UselessPrefetch++
 			}
-			l.valid = false
 		}
+		*s = setState{lru: -1, mru: -1}
 	}
 	for i := range c.streams {
 		c.streams[i].valid = false
@@ -227,48 +253,47 @@ func (c *Cache) Access(addr uint64, write bool) {
 	la := addr / LineSize
 	c.clock++
 	c.ctr.DemandAccesses++
-	set := c.sets[la%c.nsets]
-	if l := c.lookup(set, la); l != nil {
+	// At most one valid stream tracks a page, since train allocates an
+	// entry only for a page no entry tracks, so one probe serves both the
+	// prediction of a miss and the training that follows it.
+	page := la / c.lpp
+	st, victim := c.probe(page)
+	si := c.setOf(la)
+	if i := c.find(si, la); i >= 0 {
 		c.ctr.DemandHits++
+		l := &c.lines[i]
 		if l.prefetched {
 			c.ctr.PrefetchedHits++
 			l.prefetched = false
 		}
-		l.lru = c.clock
+		c.touch(&c.sets[si], i)
 	} else {
 		c.ctr.DemandMisses++
 		reason := FillDemand
-		if c.streamPredicted(la) {
+		if st != nil && st.predicts(la, c.cfg.PrefetchDegree) {
 			reason = FillDemandStream
 			c.ctr.DemandMissStream++
 		}
-		c.insert(la, false)
+		c.insert(si, la, false)
 		if c.fill != nil {
 			c.fill(la*LineSize, reason)
 		}
 	}
 	// Stream detection always trains (out-of-order execution exploits the
 	// same predictability); the MSR toggle only gates prefetch issue.
-	if st := c.train(la); st != nil && !c.disabled {
+	if st = c.train(st, victim, page, la); st != nil && !c.disabled {
 		c.issue(st, la)
 	}
 }
 
-// streamPredicted reports whether line la continues a confirmed stream —
-// evaluated before the stream table is trained with la itself.
-func (c *Cache) streamPredicted(la uint64) bool {
-	pageIdx := la / c.linesPerPage()
-	for i := range c.streams {
-		st := &c.streams[i]
-		if !st.valid || st.page != pageIdx || st.conf < 2 || st.dir == 0 {
-			continue
-		}
-		delta := int64(la) - int64(st.lastLine)
-		if delta*st.dir >= 1 && delta*st.dir <= int64(c.cfg.PrefetchDegree)+2 {
-			return true
-		}
+// predicts reports whether line la continues the stream once confirmed —
+// evaluated before the stream is trained with la itself.
+func (st *stream) predicts(la uint64, degree int) bool {
+	if st.conf < 2 || st.dir == 0 {
+		return false
 	}
-	return false
+	delta := int64(la) - int64(st.lastLine)
+	return delta*st.dir >= 1 && delta*st.dir <= int64(degree)+2
 }
 
 // AccessRange performs sequential demand accesses covering [addr, addr+n).
@@ -283,70 +308,128 @@ func (c *Cache) AccessRange(addr, n uint64, write bool) {
 	}
 }
 
-func (c *Cache) lookup(set []line, la uint64) *line {
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			return &set[i]
+// setOf returns the set line la maps to.
+func (c *Cache) setOf(la uint64) int32 { return int32(la % c.nsets) }
+
+// find returns the index of line la among the valid lines of set si, or -1.
+// It checks the set's most recent line first: on a stream, the line a
+// demand access hits and the lines the streamer finds already fetched were
+// filled moments ago.
+func (c *Cache) find(si int32, la uint64) int32 {
+	s := &c.sets[si]
+	if s.mru >= 0 && c.tags[s.mru] == la {
+		return s.mru
+	}
+	base := si * c.ways
+	for j, tag := range c.tags[base : base+s.n] {
+		if tag == la {
+			return base + int32(j)
 		}
 	}
-	return nil
+	return -1
 }
 
-// insert fills line la, evicting LRU if needed; prefetched marks the fill
-// as a prefetch fill.
-func (c *Cache) insert(la uint64, prefetched bool) {
-	set := c.sets[la%c.nsets]
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
+// insert fills line la into set si, evicting the least recently used line
+// if the set is full; prefetched marks the fill as a prefetch fill.
+func (c *Cache) insert(si int32, la uint64, prefetched bool) {
+	s := &c.sets[si]
+	var i int32
+	if s.n < c.ways {
+		i = si*c.ways + s.n
+		s.n++
+	} else {
+		i = s.lru
+		if c.lines[i].prefetched {
+			c.ctr.UselessPrefetch++
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
+		c.unlink(s, i)
 	}
-	if victim.valid && victim.prefetched {
-		c.ctr.UselessPrefetch++
-	}
-	victim.tag = la
-	victim.valid = true
-	victim.lru = c.clock
-	victim.prefetched = prefetched
+	c.tags[i] = la
+	c.lines[i].prefetched = prefetched
+	c.link(s, i)
 	c.ctr.LinesIn++
 	if prefetched {
 		c.ctr.PrefetchFills++
 	}
 }
 
-// linesPerPage returns the number of cachelines per page.
-func (c *Cache) linesPerPage() uint64 { return c.cfg.PageSize / LineSize }
+// touch moves valid line i of set s to its place as touched now.
+func (c *Cache) touch(s *setState, i int32) {
+	if s.mru == i {
+		// Already the most recent: a newer clock keeps it there.
+		c.lines[i].stamp = c.clock
+		return
+	}
+	c.unlink(s, i)
+	c.link(s, i)
+}
 
-// train updates the stream table with a demand access and returns the
-// stream la belongs to (nil while direction is still unknown).
-func (c *Cache) train(la uint64) *stream {
-	pageIdx := la / c.linesPerPage()
-	var st *stream
+// link stamps unlinked line i with the clock and inserts it into the
+// recency list of s: after every line touched earlier, and among the lines
+// touched at this clock, after those of lower way.
+func (c *Cache) link(s *setState, i int32) {
+	c.lines[i].stamp = c.clock
+	older, newer := s.mru, int32(-1)
+	for older >= 0 && older > i && c.lines[older].stamp == c.clock {
+		newer, older = older, c.lines[older].older
+	}
+	c.lines[i].older, c.lines[i].newer = older, newer
+	if older >= 0 {
+		c.lines[older].newer = i
+	} else {
+		s.lru = i
+	}
+	if newer >= 0 {
+		c.lines[newer].older = i
+	} else {
+		s.mru = i
+	}
+}
+
+// unlink removes line i from the recency list of s.
+func (c *Cache) unlink(s *setState, i int32) {
+	older, newer := c.lines[i].older, c.lines[i].newer
+	if older >= 0 {
+		c.lines[older].newer = newer
+	} else {
+		s.lru = newer
+	}
+	if newer >= 0 {
+		c.lines[newer].older = older
+	} else {
+		s.mru = older
+	}
+}
+
+// probe returns the valid stream tracking page or, if none does, the
+// entry a new stream for page replaces: the first invalid entry, else the
+// least recently used. Valid entries form a prefix of the table, because
+// allocation takes the first invalid entry and only Flush invalidates, so
+// the scan ends at the first invalid entry.
+func (c *Cache) probe(page uint64) (st, victim *stream) {
+	victim = &c.streams[0]
 	for i := range c.streams {
-		if c.streams[i].valid && c.streams[i].page == pageIdx {
-			st = &c.streams[i]
-			break
+		e := &c.streams[i]
+		if !e.valid {
+			return nil, e
+		}
+		if e.page == page {
+			return e, nil
+		}
+		if e.lru < victim.lru {
+			victim = e
 		}
 	}
+	return nil, victim
+}
+
+// train updates st, the stream tracking page (nil if none does), with a
+// demand access to line la of it and returns the stream (nil while its
+// direction is still unknown). Without a stream it allocates victim and
+// waits for a second access to establish direction.
+func (c *Cache) train(st, victim *stream, page, la uint64) *stream {
 	if st == nil {
-		// Allocate an entry (LRU replacement) and wait for a second
-		// access to establish direction.
-		victim := &c.streams[0]
-		for i := range c.streams {
-			if !c.streams[i].valid {
-				victim = &c.streams[i]
-				break
-			}
-			if c.streams[i].lru < victim.lru {
-				victim = &c.streams[i]
-			}
-		}
-		*victim = stream{page: pageIdx, lastLine: la, dir: 0, conf: 0, lru: c.clock, valid: true}
+		*victim = stream{page: page, lastLine: la, dir: 0, conf: 0, lru: c.clock, valid: true}
 		return nil
 	}
 	st.lru = c.clock
@@ -396,10 +479,8 @@ func (c *Cache) issue(st *stream, la uint64) {
 		return
 	}
 	// Confirmed stream: run degree lines ahead, within the page.
-	pageIdx := st.page
-	lpp := c.linesPerPage()
-	pageFirst := pageIdx * lpp
-	pageLast := pageFirst + lpp - 1
+	pageFirst := st.page * c.lpp
+	pageLast := pageFirst + c.lpp - 1
 	next := la
 	for i := 0; i < degree; i++ {
 		ni := int64(next) + st.dir
@@ -407,11 +488,11 @@ func (c *Cache) issue(st *stream, la uint64) {
 			break
 		}
 		next = uint64(ni)
-		set := c.sets[next%c.nsets]
-		if c.lookup(set, next) != nil {
+		si := c.setOf(next)
+		if c.find(si, next) >= 0 {
 			continue
 		}
-		c.insert(next, true)
+		c.insert(si, next, true)
 		if c.fill != nil {
 			c.fill(next*LineSize, FillPrefetch)
 		}

@@ -197,3 +197,140 @@ func TestNoPrefetchProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fillEvent is one call of a cache's fill callback.
+type fillEvent struct {
+	line   uint64
+	reason FillReason
+}
+
+// randomConfig draws a cache geometry. One in three has at most
+// PrefetchDegree sets, so that a demand fill and the prefetches of the same
+// access can land in one set at one clock and the victim among them is
+// chosen by way.
+func randomConfig(rng *stats.RNG) Config {
+	ways := 1 + rng.Intn(16)
+	degree := 1 + rng.Intn(8)
+	sets := 1 + rng.Intn(64)
+	if rng.Intn(3) == 0 {
+		sets = 1 + rng.Intn(degree)
+	}
+	return Config{
+		Size:            (sets*ways + rng.Intn(ways)) * LineSize,
+		Ways:            ways,
+		PrefetchEnabled: rng.Intn(4) != 0,
+		PrefetchDegree:  degree,
+		PrefetchStreams: 1 + rng.Intn(16),
+		PageSize:        LineSize << rng.Intn(7),
+	}
+}
+
+// TestMatchesReference drives Cache and refCache with the same random
+// operations over random geometries: unit and small strides in either
+// direction, repeated lines, jumps, ranges, flushes and runtime prefetch
+// toggles, interleaved over a few cursors. The two must agree on every
+// counter and on the order, lines and reasons of their fills.
+func TestMatchesReference(t *testing.T) {
+	geometries, ops := 3000, 4000
+	if testing.Short() {
+		geometries = 300
+	}
+	rng := stats.NewRNG(3)
+	tieProne := 0
+	for g := 0; g < geometries; g++ {
+		cfg := randomConfig(rng)
+		var got, want []fillEvent
+		c := New(cfg, func(la uint64, r FillReason) { got = append(got, fillEvent{la, r}) })
+		ref := newRef(cfg, func(la uint64, r FillReason) { want = append(want, fillEvent{la, r}) })
+		if ref.nsets <= uint64(ref.cfg.PrefetchDegree) {
+			tieProne++
+		}
+		span := 4 * (ref.nsets*uint64(ref.cfg.Ways) + 2*ref.cfg.PageSize/LineSize) * LineSize
+		cursors := make([]uint64, 1+rng.Intn(4))
+		dirs := make([]int64, len(cursors))
+		for i := range cursors {
+			cursors[i] = uint64(rng.Intn(int(span)))
+			dirs[i] = 1
+		}
+		for op := 0; op < ops; op++ {
+			k := rng.Intn(len(cursors))
+			step := int64(LineSize)
+			switch r := rng.Intn(100); {
+			case r < 1:
+				c.Flush()
+				ref.Flush()
+				continue
+			case r < 3:
+				on := rng.Intn(2) == 0
+				c.SetPrefetchEnabled(on)
+				ref.SetPrefetchEnabled(on)
+				continue
+			case r < 8:
+				n := uint64(1 + rng.Intn(4*LineSize))
+				c.AccessRange(cursors[k], n, false)
+				ref.AccessRange(cursors[k], n, false)
+				cursors[k] += n
+				continue
+			case r < 13:
+				dirs[k] = -dirs[k]
+			case r < 23:
+				step = int64(1+rng.Intn(3)) * LineSize
+			case r < 33:
+				step = 8
+			case r < 43:
+				cursors[k] = uint64(rng.Intn(int(span)))
+				step = 0
+			}
+			cursors[k] = uint64(int64(cursors[k])+dirs[k]*step) % span
+			write := rng.Intn(2) == 0
+			c.Access(cursors[k], write)
+			ref.Access(cursors[k], write)
+		}
+		if c.Counters() != ref.Counters() {
+			t.Fatalf("geometry %d %+v: counters\n got %v\nwant %v", g, cfg, c.Counters(), ref.Counters())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("geometry %d %+v: %d fills, want %d", g, cfg, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("geometry %d %+v: fill %d is %+v, want %+v", g, cfg, i, got[i], want[i])
+			}
+		}
+	}
+	if tieProne == 0 {
+		t.Fatal("no geometry with at most PrefetchDegree sets was drawn")
+	}
+}
+
+// BenchmarkAccess measures one demand access on the default platform's L2
+// geometry: a sequential line walk (prefetch hits and prefetch fills) and
+// random lines over 64 MiB (misses, each allocating a stream entry).
+func BenchmarkAccess(b *testing.B) {
+	cfg := Config{Size: 256 << 10, Ways: 16, PrefetchEnabled: true, PrefetchDegree: 4, PrefetchStreams: 16, PageSize: 4096}
+	var fills uint64
+	fill := func(uint64, FillReason) { fills++ }
+	b.Run("sequential", func(b *testing.B) {
+		c := New(cfg, fill)
+		b.ReportAllocs()
+		var addr uint64
+		for b.Loop() {
+			c.Access(addr, false)
+			addr += LineSize
+		}
+	})
+	b.Run("random", func(b *testing.B) {
+		c := New(cfg, fill)
+		rng := stats.NewRNG(1)
+		addrs := make([]uint64, 1<<16)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Intn(64 << 20))
+		}
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			c.Access(addrs[i%len(addrs)], false)
+			i++
+		}
+	})
+}

@@ -84,11 +84,13 @@ func Run(cfg machine.Config, w workloads.Workload) *machine.Machine {
 
 // PeakUsage returns the workload's peak memory footprint on an unbounded
 // single-tier system — the quantity the paper's setup_waste protocol sizes
-// local capacity against.
+// local capacity against. The run binds pages without simulating the
+// cache (machine.PeakFootprintOf), which gives the footprint of a full
+// execution at a fraction of its cost.
 func (p *Profiler) PeakUsage(entry registry.Entry, scale int) uint64 {
 	key := execKeyFor(p.cfg, entry.Name, scale)
 	return cached(p.cache, p.cache.peak, key, func() uint64 {
-		return Run(p.cfg, entry.New(scale)).PeakFootprint()
+		return machine.PeakFootprintOf(p.cfg, entry.New(scale).Run)
 	})
 }
 

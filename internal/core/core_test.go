@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/scenario"
 	"repro/internal/workloads/registry"
 )
 
@@ -205,6 +206,51 @@ func TestPeakUsageCached(t *testing.T) {
 	b := p.PeakUsage(e, 1)
 	if a != b || a == 0 {
 		t.Errorf("peak usage cache broken: %d vs %d", a, b)
+	}
+}
+
+// TestPeakUsageMatchesExecution pins PeakUsage, which binds pages without
+// simulating the cache, to the peak footprint of a full execution: every
+// registry workload on every registry platform at scale 1, and in the full
+// tier also at scales 2 and 4, and at scale 1 with the prefetcher off and
+// with a 1 MiB local tier.
+func TestPeakUsageMatchesExecution(t *testing.T) {
+	type variant struct {
+		cfg    machine.Config
+		scales []int
+	}
+	scales := []int{1, 2, 4}
+	if testing.Short() {
+		scales = []int{1}
+	}
+	var variants []variant
+	for _, sp := range scenario.All() {
+		variants = append(variants, variant{sp.Platform, scales})
+	}
+	if !testing.Short() {
+		base := machine.Default()
+		variants = append(variants,
+			variant{base.WithPrefetch(false), []int{1}},
+			variant{base.WithLocalCapacity(1 << 20), []int{1}})
+	}
+	// Configurations with one execution key run identically, so each key
+	// is checked once.
+	checked := map[execKey]bool{}
+	for _, v := range variants {
+		for _, scale := range v.scales {
+			for _, e := range registry.All() {
+				key := execKeyFor(v.cfg, e.Name, scale)
+				if checked[key] {
+					continue
+				}
+				checked[key] = true
+				want := Run(v.cfg, e.New(scale)).PeakFootprint()
+				if got := NewProfiler(v.cfg).PeakUsage(e, scale); got != want {
+					t.Errorf("%s x%d on %s (prefetch %v, local %d B): PeakUsage %d, full execution %d",
+						e.Name, scale, v.cfg.Name, v.cfg.Cache.PrefetchEnabled, v.cfg.Mem.LocalCapacity, got, want)
+				}
+			}
+		}
 	}
 }
 

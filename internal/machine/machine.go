@@ -217,9 +217,12 @@ type Machine struct {
 	fills     [cache.NumFillReasons][2]uint64 // [reason][tier] line fills in current phase
 	tickBase  tickSnapshot
 
-	peakFootprint uint64
-	flops         float64
-	flopsBase     float64
+	flops     float64
+	flopsBase float64
+
+	// touchOnly makes Read and Write bind pages without simulating the
+	// cache (see PeakFootprintOf).
+	touchOnly bool
 
 	hook Hook
 }
@@ -253,9 +256,24 @@ func (m *Machine) onFill(lineAddr uint64, reason cache.FillReason) {
 	if tier == mem.TierRemote {
 		m.Link.AddPayload(cache.LineSize)
 	}
-	if fp := m.Space.Footprint(); fp > m.peakFootprint {
-		m.peakFootprint = fp
-	}
+}
+
+// PeakFootprintOf runs run on a machine built from cfg and returns its
+// peak footprint, without simulating the cache: each demand access only
+// binds the pages its lines lie in, through mem.Space.Touch. The result is
+// the PeakFootprint of the same run on New(cfg). With the cache simulated,
+// a page binds at the first fill of one of its lines, and that fill is the
+// demand miss of the first access to the page: a line can only hit after
+// its page was bound, pages unbind only when freed and freed addresses are
+// never touched again, and the streamer prefetches only within the page of
+// the access that triggers it, which that access has bound. No workload
+// kernel reads machine state, so the demand stream and the frees, and with
+// them the footprint over time, are the same either way.
+func PeakFootprintOf(cfg Config, run func(*Machine)) uint64 {
+	m := New(cfg)
+	m.touchOnly = true
+	run(m)
+	return m.PeakFootprint()
 }
 
 // Alloc reserves a named region with first-touch placement.
@@ -289,7 +307,7 @@ func (m *Machine) Read(addr, n uint64) {
 	if m.hook != nil {
 		m.hook.OnAccess(addr, n, false)
 	}
-	m.Cache.AccessRange(addr, n, false)
+	m.access(addr, n, false)
 }
 
 // Write issues a demand write of n bytes at addr (write-allocate).
@@ -297,7 +315,23 @@ func (m *Machine) Write(addr, n uint64) {
 	if m.hook != nil {
 		m.hook.OnAccess(addr, n, true)
 	}
-	m.Cache.AccessRange(addr, n, true)
+	m.access(addr, n, true)
+}
+
+// access drives a demand access through the cache or, in a footprint
+// pass, binds the pages of [addr, addr+n).
+func (m *Machine) access(addr, n uint64, write bool) {
+	if !m.touchOnly {
+		m.Cache.AccessRange(addr, n, write)
+		return
+	}
+	if n == 0 {
+		return
+	}
+	ps := m.Space.PageSize()
+	for pg := addr / ps; pg <= (addr+n-1)/ps; pg++ {
+		m.Space.Touch(pg * ps)
+	}
 }
 
 // AddFlops accounts floating-point work for the current phase.
@@ -309,7 +343,7 @@ func (m *Machine) AddFlops(n float64) {
 }
 
 // PeakFootprint returns the largest footprint observed so far.
-func (m *Machine) PeakFootprint() uint64 { return m.peakFootprint }
+func (m *Machine) PeakFootprint() uint64 { return m.Space.PeakFootprint() }
 
 // StartPhase opens a named profiling phase (pf_start).
 func (m *Machine) StartPhase(name string) {

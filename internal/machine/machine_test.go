@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/stats"
 )
 
 // streamPhase runs a simple streaming phase over size bytes and returns its
@@ -243,5 +244,54 @@ func TestPlacedAllocation(t *testing.T) {
 	p := m.EndPhase()
 	if p.RemoteBytes == 0 {
 		t.Errorf("forced-remote region produced no remote traffic")
+	}
+}
+
+// TestPeakFootprintCountsTouch checks that a page bound without a fill
+// counts toward the peak, even when its region is freed before any fill.
+func TestPeakFootprintCountsTouch(t *testing.T) {
+	m := New(Default())
+	r := m.Alloc("a", 2*4096)
+	m.Space.Touch(r.Base)
+	m.Free(r)
+	if got := m.PeakFootprint(); got != 4096 {
+		t.Errorf("peak footprint = %d, want 4096", got)
+	}
+}
+
+// footprintRun streams over part of a region, writes an unaligned range,
+// frees, then gathers at random from a new region: a footprint that rises
+// and falls.
+func footprintRun(m *Machine) {
+	a := m.Alloc("a", 64<<10)
+	b := m.Alloc("b", 32<<10)
+	m.Read(a.Base, 40<<10+8)
+	m.Write(b.Base+100, 3000)
+	m.Free(a)
+	c := m.Alloc("c", 128<<10)
+	rng := stats.NewRNG(3)
+	for i := 0; i < 2000; i++ {
+		m.Read(c.Base+uint64(rng.Intn(128<<10-8)), 8)
+	}
+	m.Free(b)
+	d := m.Alloc("d", 256<<10)
+	for off := uint64(0); off < 256<<10; off += 8 << 10 {
+		m.Write(d.Base+off, 1000)
+	}
+}
+
+// TestPeakFootprintOfMatchesExecution compares the footprint pass with a
+// full execution over two page sizes, with the prefetcher on and off.
+func TestPeakFootprintOfMatchesExecution(t *testing.T) {
+	for _, ps := range []uint64{4096, 256} {
+		for _, pf := range []bool{true, false} {
+			cfg := Default().WithPrefetch(pf)
+			cfg.Mem.PageSize = ps
+			m := New(cfg)
+			footprintRun(m)
+			if got, want := PeakFootprintOf(cfg, footprintRun), m.PeakFootprint(); got != want {
+				t.Errorf("page %d B, prefetch %v: footprint pass %d, full execution %d", ps, pf, got, want)
+			}
+		}
 	}
 }

@@ -106,11 +106,11 @@ type Space struct {
 
 	localUsed  uint64
 	remoteUsed uint64
+	peak       uint64 // largest localUsed+remoteUsed after any bind
 
 	// Tier traffic counters, in bytes, reset per profiling phase. These
 	// correspond to the LOCAL_DRAM / REMOTE_DRAM offcore events.
-	tierBytes    [numTiers]uint64
-	tierAccesses [numTiers]uint64
+	tierBytes [numTiers]uint64
 }
 
 // NewSpace creates an empty address space with the given configuration.
@@ -200,14 +200,19 @@ func (s *Space) bind(p *page, pl Placement) {
 		s.remoteUsed += ps
 	}
 	p.bound = true
+	// Only a bind grows the footprint, so sampling here sees every peak.
+	if fp := s.Footprint(); fp > s.peak {
+		s.peak = fp
+	}
 }
 
 // Touch binds the page containing addr (if unbound) and returns its tier
-// without recording traffic. It is used for placement-only initialization.
+// without recording traffic: placement only, as in a pass that measures the
+// footprint without simulating the cache.
 func (s *Space) Touch(addr uint64) Tier {
-	p, r := s.pageAt(addr)
+	p := s.pageAt(addr)
 	if !p.bound {
-		s.bind(p, r.Placement)
+		s.bind(p, s.regions[p.regionID].Placement)
 	}
 	return p.tier
 }
@@ -215,14 +220,13 @@ func (s *Space) Touch(addr uint64) Tier {
 // Access records a memory access of n bytes at addr (post-cache traffic:
 // a demand fill or hardware prefetch fill) and returns the serving tier.
 func (s *Space) Access(addr uint64, n uint64) Tier {
-	p, r := s.pageAt(addr)
+	p := s.pageAt(addr)
 	if !p.bound {
-		s.bind(p, r.Placement)
+		s.bind(p, s.regions[p.regionID].Placement)
 	}
 	p.accesses++
 	p.bytes += n
 	s.tierBytes[p.tier] += n
-	s.tierAccesses[p.tier]++
 	return p.tier
 }
 
@@ -240,7 +244,7 @@ func (s *Space) TierOf(addr uint64) (t Tier, ok bool) {
 	return p.tier, true
 }
 
-func (s *Space) pageAt(addr uint64) (*page, *Region) {
+func (s *Space) pageAt(addr uint64) *page {
 	idx := addr / s.cfg.PageSize
 	if idx >= uint64(len(s.pages)) {
 		panic(fmt.Sprintf("mem: access to unallocated address %#x", addr))
@@ -249,30 +253,15 @@ func (s *Space) pageAt(addr uint64) (*page, *Region) {
 	if !p.allocated {
 		panic(fmt.Sprintf("mem: access to freed/unallocated address %#x", addr))
 	}
-	return p, s.regions[p.regionID]
+	return p
 }
 
 // ResetTraffic clears the per-tier traffic counters (phase boundary) while
 // preserving placement and the page histogram.
-func (s *Space) ResetTraffic() {
-	s.tierBytes = [numTiers]uint64{}
-	s.tierAccesses = [numTiers]uint64{}
-}
-
-// ResetHistogram clears the page access histogram (for per-run analyses)
-// while preserving placement.
-func (s *Space) ResetHistogram() {
-	for i := range s.pages {
-		s.pages[i].accesses = 0
-		s.pages[i].bytes = 0
-	}
-}
+func (s *Space) ResetTraffic() { s.tierBytes = [numTiers]uint64{} }
 
 // TierBytes returns bytes served by the tier since the last ResetTraffic.
 func (s *Space) TierBytes(t Tier) uint64 { return s.tierBytes[t] }
-
-// TierAccesses returns accesses served by the tier since last ResetTraffic.
-func (s *Space) TierAccesses(t Tier) uint64 { return s.tierAccesses[t] }
 
 // Used returns the bytes of bound pages in the tier (numa_maps resident
 // set for that node).
@@ -285,6 +274,10 @@ func (s *Space) Used(t Tier) uint64 {
 
 // Footprint returns the total bytes of bound pages across tiers.
 func (s *Space) Footprint() uint64 { return s.localUsed + s.remoteUsed }
+
+// PeakFootprint returns the largest Footprint the space has had, whether
+// its pages were bound by Access or by Touch.
+func (s *Space) PeakFootprint() uint64 { return s.peak }
 
 // RemoteCapacityRatio is the paper's "remote capacity ratio": the ratio of
 // lower-tier memory to total memory in use, measured from placement.

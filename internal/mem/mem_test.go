@@ -26,6 +26,35 @@ func TestFirstTouchSpill(t *testing.T) {
 	}
 }
 
+// TestPeakFootprint checks that the peak is taken whenever a page binds,
+// by Access or by Touch, and outlives frees and rebinds.
+func TestPeakFootprint(t *testing.T) {
+	s := NewSpace(Config{PageSize: 4096, LocalCapacity: 4096})
+	check := func(step string, fp, peak uint64) {
+		t.Helper()
+		if s.Footprint() != fp || s.PeakFootprint() != peak {
+			t.Errorf("%s: footprint %d, peak %d; want %d, %d", step, s.Footprint(), s.PeakFootprint(), fp, peak)
+		}
+	}
+	check("empty", 0, 0)
+	a := s.Alloc("a", 2*4096)
+	s.Access(a.Base, 64)
+	check("bind by Access", 4096, 4096)
+	s.Touch(a.Base + 4096)
+	check("bind by Touch", 2*4096, 2*4096)
+	s.Access(a.Base+4096, 64)
+	s.Touch(a.Base)
+	check("bound pages again", 2*4096, 2*4096)
+	s.Free(a)
+	check("free", 0, 2*4096)
+	b := s.Alloc("b", 3*4096)
+	s.Touch(b.Base)
+	s.Touch(b.Base + 4096)
+	check("rebind below the peak", 2*4096, 2*4096)
+	s.Touch(b.Base + 2*4096)
+	check("rebind past the peak", 3*4096, 3*4096)
+}
+
 func TestUnboundedLocal(t *testing.T) {
 	s := NewSpace(Config{})
 	r := s.Alloc("a", 1<<20)
