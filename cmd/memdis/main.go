@@ -53,8 +53,7 @@
 // `memdis serve`, which mounts the versioned HTTP API on -addr:
 // GET /v1/artifacts/<id>, /v1/platforms, /v1/workloads, /v1/sweep and
 // /healthz, all sharing one JSON error envelope and Accept/?format=
-// content negotiation — plus the pre-/v1 paths
-// (/artifacts/<id>.<ext>, /sweep) as deprecated aliases. See docs/API.md.
+// content negotiation; any other path is an envelope 404. See docs/API.md.
 //
 // The sweep subcommand runs a parameter-sweep campaign over generated
 // scenarios: each -axis flag declares one swept dimension (gen, lat, bw,
@@ -201,7 +200,8 @@ func run(args []string) error {
 		handler := svc.Handler()
 		if *pprofFlag {
 			// The profiling endpoints ride on a wrapper mux so the service
-			// handler keeps owning "/" (and its legacy alias subtree).
+			// handler keeps owning "/" (and its envelope 404 for every
+			// path off the route table).
 			mux := http.NewServeMux()
 			mux.HandleFunc("/debug/pprof/", httppprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)

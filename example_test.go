@@ -117,24 +117,25 @@ func ExamplePlatformNamed() {
 	// link: 52 GB/s data, 310 ns, headline split 50% local
 }
 
-// ExampleRunSweep declares a two-axis campaign — interconnect generation
-// crossed with the local capacity fraction — and runs the paper's headline
-// analyses over every generated scenario. (No Output comment: a full
-// campaign profiles every workload, so the example compiles under go test
-// but is not executed.)
-func ExampleRunSweep() {
-	base, err := repro.PlatformNamed("baseline")
+// ExampleService_Sweep declares a two-axis campaign — interconnect
+// generation crossed with the local capacity fraction — on the baseline
+// scenario's base system and runs the paper's headline analyses over
+// every generated scenario. (No Output comment: a full campaign profiles
+// every workload, so the example compiles under go test but is not
+// executed.)
+func ExampleService_Sweep() {
+	svc, err := repro.New(repro.WithWorkers(8))
 	if err != nil {
 		panic(err)
 	}
-	grid := repro.SweepGrid{
-		Base: base,
-		Axes: []repro.SweepAxis{
-			{Name: "gen", Values: []float64{0, 5, 6}},
-			{Name: "frac", Values: []float64{0.25, 0.50, 0.75}},
-		},
+	grid, err := svc.Grid("baseline",
+		repro.SweepAxis{Name: "gen", Values: []float64{0, 5, 6}},
+		repro.SweepAxis{Name: "frac", Values: []float64{0.25, 0.50, 0.75}},
+	)
+	if err != nil {
+		panic(err)
 	}
-	campaign, err := repro.RunSweep(grid, 8)
+	campaign, err := svc.Sweep(context.Background(), grid)
 	if err != nil {
 		panic(err)
 	}

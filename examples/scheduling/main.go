@@ -10,7 +10,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro"
 )
@@ -49,7 +51,10 @@ func main() {
 	fmt.Println("=== Baseline vs interference-aware scheduler (100 runs each) ===")
 	fmt.Printf("%-9s %14s %14s %13s %9s\n", "workload", "median (base)", "median (aware)", "mean speedup", "P75 cut")
 	for i, j := range jobs {
-		s := repro.CompareSchedulers(j.name, j.plat, j.phases, 100, 42+uint64(i))
+		s, err := repro.CompareSchedulers(context.Background(), j.name, j.plat, j.phases, 100, 42+uint64(i), 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-9s %13.4fs %13.4fs %12.1f%% %8.1f%%\n",
 			j.name, s.Baseline.Median, s.Aware.Median, s.MeanSpeedup*100, s.P75Reduction*100)
 	}

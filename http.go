@@ -57,26 +57,15 @@ func (b serviceBackend) JobArtifact(id, artifact string, f report.Format) (strin
 // negotiation, and a middleware chain (request logging via WithLogger,
 // panic recovery, conditional requests with strong ETags and
 // If-None-Match 304s, Accept-Encoding gzip, single-flight coalescing of
-// concurrent cache-miss renders), plus the pre-/v1 paths ("/",
-// /artifacts/..., /sweep) mounted as deprecated aliases behind the same
-// caching middleware with Deprecation headers added. /healthz reports the
-// WithWarm readiness state. Artifact computation is bounded by each
-// request's context, but a coalesced render survives until its last
-// waiting client disconnects.
+// concurrent cache-miss renders). Every other path answers the envelope
+// 404. /healthz reports the WithWarm readiness state. Artifact computation
+// is bounded by each request's context, but a coalesced render survives
+// until its last waiting client disconnects.
 func (s *Service) Handler() http.Handler {
 	logger := s.logger
 	if !s.loggerSet {
 		logger = log.New(os.Stderr, "api: ", log.LstdFlags)
 	}
-	legacySweep := sweep.Handler(
-		func(platform string) (sweep.Grid, error) {
-			return s.Grid(platform)
-		},
-		func(ctx context.Context, platform string, g sweep.Grid) (*sweep.Campaign, error) {
-			// Request-scoped: a disconnecting client releases the engine
-			// instead of pinning the suite's invocation slot.
-			return s.Sweep(ctx, g)
-		})
 	return api.New(api.Config{
 		Backend: serviceBackend{s: s},
 		Logger:  logger,
@@ -86,7 +75,5 @@ func (s *Service) Handler() http.Handler {
 			cs := s.ProfileCacheStats()
 			return cs.Hits, cs.Misses, cs.Joins
 		},
-		LegacyArtifacts: s.store.Handler(experiments.IDs, s.defaultPlatform),
-		LegacySweep:     legacySweep,
 	})
 }

@@ -2,9 +2,7 @@
 // one mux, one JSON error envelope, one content-negotiation rule, one
 // caching policy and one middleware chain (request logging, panic
 // recovery, conditional requests, gzip, request coalescing) over every
-// route — replacing the two bespoke pre-/v1 handlers (the artifact
-// store's and the sweep endpoint's), which stay mounted as deprecated
-// aliases behind the same caching middleware.
+// route. Paths outside the routes below answer the envelope 404.
 //
 // Routes (GET unless noted):
 //
@@ -125,13 +123,6 @@ type Config struct {
 	// flat keys profile_hits, profile_misses and profile_joins, keeping
 	// the route a plain string → int64 map for harnesses that diff it.
 	ProfileCache func() (hits, misses, joins int64)
-	// LegacyArtifacts and LegacySweep, when set, are mounted at the
-	// pre-/v1 paths ("/" with its /artifacts/ subtree, and "/sweep") as
-	// deprecated aliases: same behavior, plus Deprecation/Link headers
-	// pointing successors out, behind the same conditional-request and
-	// gzip middleware as the /v1 routes.
-	LegacyArtifacts http.Handler
-	LegacySweep     http.Handler
 }
 
 // server is the built API: the configuration plus the shared serving
@@ -144,10 +135,9 @@ type server struct {
 }
 
 // New builds the versioned API handler: the /v1 routes and /healthz behind
-// the middleware chain, with the legacy aliases (when configured) mounted
-// beneath them. Data routes — /v1 and legacy alike — sit behind the
-// conditional-request/gzip middleware; /healthz, the indexes and /v1/stats
-// stay uncacheable.
+// the middleware chain, with every other path answering the envelope 404.
+// Data routes sit behind the conditional-request/gzip middleware;
+// /healthz, the indexes and /v1/stats stay uncacheable.
 func New(c Config) http.Handler {
 	m := c.Metrics
 	if m == nil {
@@ -157,7 +147,7 @@ func New(c Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", get(s.handleHealthz))
 	mux.Handle("/v1", get(s.handleIndex))
-	mux.Handle("/v1/", get(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/", get(func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errNoRoute(r.URL.Path))
 	}))
 	mux.Handle("/v1/stats", get(s.handleStats))
@@ -176,12 +166,6 @@ func New(c Config) http.Handler {
 	}))
 	mux.Handle("/v1/jobs/{id}/events", get(s.handleJobEvents))
 	mux.Handle("/v1/jobs/{id}/artifacts/{artifact}", cacheable(m, get(s.handleJobArtifact)))
-	if c.LegacyArtifacts != nil {
-		mux.Handle("/", deprecated(cacheable(m, c.LegacyArtifacts), "/v1/artifacts"))
-	}
-	if c.LegacySweep != nil {
-		mux.Handle("/sweep", deprecated(cacheable(m, c.LegacySweep), "/v1/sweep"))
-	}
 	return logging(c.Logger, recovery(counted(m, mux)))
 }
 

@@ -111,28 +111,11 @@ func (b *stubBackend) Workloads() []registry.Entry { return registry.All() }
 func (b *stubBackend) IDs() []string               { return append([]string(nil), experiments.IDs...) }
 func (b *stubBackend) DefaultPlatform() string     { return "baseline" }
 
-// newTestServer mounts the full handler — /v1 routes plus both legacy
-// aliases — over the stub.
+// newTestServer mounts the full handler over the stub.
 func newTestServer(t *testing.T) (*httptest.Server, *stubBackend) {
 	t.Helper()
 	b := &stubBackend{}
-	st := report.NewStore(func(ctx context.Context, platform, artifact string) (report.Doc, error) {
-		if artifact != "figure9" {
-			return report.Doc{}, &experiments.AliasError{Alias: artifact, Canonical: "figure9"}
-		}
-		return *report.New(artifact).Append(report.NoteBlock("legacy\n")), nil
-	})
-	h := New(Config{
-		Backend:         b,
-		LegacyArtifacts: st.Handler([]string{"figure9"}, "baseline"),
-		LegacySweep: sweep.Handler(
-			func(platform string) (sweep.Grid, error) { return b.Grid(platform) },
-			func(ctx context.Context, platform string, g sweep.Grid) (*sweep.Campaign, error) {
-				return b.Sweep(ctx, g)
-			},
-		),
-	})
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(New(Config{Backend: b}))
 	t.Cleanup(srv.Close)
 	return srv, b
 }
@@ -283,6 +266,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"cancelled computation", "/v1/artifacts/figure5", "", 503, "engine stopped"},
 		{"panic recovery", "/v1/artifacts/figure7", "", 500, "internal error"},
 		{"no such v1 route", "/v1/bogus", "", 404, "no such route"},
+		{"root path", "/", "", 404, "no such route"},
+		{"pre-v1 artifact path", "/artifacts/figure9.json", "", 404, "no such route"},
+		{"pre-v1 sweep path", "/sweep", "", 404, "no such route"},
 		{"method not allowed", "/v1/artifacts/figure9", http.MethodPost, 405, "method POST not allowed"},
 	}
 	for _, tc := range cases {
@@ -320,40 +306,6 @@ func TestFormatErrorListsFormats(t *testing.T) {
 		if detail.Formats[i] != want[i] {
 			t.Fatalf("formats = %v, want %v", detail.Formats, want)
 		}
-	}
-}
-
-// TestLegacyAliases checks the pre-/v1 paths answer exactly as before —
-// plain-text errors and all — with deprecation headers added.
-func TestLegacyAliases(t *testing.T) {
-	srv, _ := newTestServer(t)
-	cases := []struct {
-		path       string
-		wantStatus int
-		wantLink   string
-	}{
-		{"/", 200, "/v1/artifacts"},
-		{"/artifacts/figure9.json", 200, "/v1/artifacts"},
-		{"/artifacts/figure9.txt", 200, "/v1/artifacts"},
-		{"/sweep", 200, "/v1/sweep"},
-		{"/sweep?artifact=sensitivity", 200, "/v1/sweep"},
-	}
-	for _, tc := range cases {
-		code, _, body, hdr := fetch(t, srv, http.MethodGet, tc.path, "")
-		if code != tc.wantStatus {
-			t.Errorf("GET %s = %d, want %d\n%s", tc.path, code, tc.wantStatus, body)
-		}
-		if hdr.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: missing Deprecation header", tc.path)
-		}
-		if link := hdr.Get("Link"); !strings.Contains(link, tc.wantLink) || !strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s: Link = %q, want successor %s", tc.path, link, tc.wantLink)
-		}
-	}
-	// Legacy errors stay plain text — the envelope is a /v1 contract.
-	code, ct, _, _ := fetch(t, srv, http.MethodGet, "/artifacts/figure9.yaml", "")
-	if code != 400 || strings.HasPrefix(ct, "application/json") {
-		t.Errorf("legacy bad format = %d %q, want 400 plain text", code, ct)
 	}
 }
 

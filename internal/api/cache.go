@@ -13,8 +13,8 @@ import (
 	"repro/internal/report"
 )
 
-// cacheControl is the policy stamped on every cacheable /v1 (and alias)
-// success response. Artifacts are immutable per (platform, artifact, seed,
+// cacheControl is the policy stamped on every cacheable /v1 success
+// response. Artifacts are immutable per (platform, artifact, seed,
 // code version): a deploy changes the ETag, so validators keep long-lived
 // caches correct and max-age only bounds how stale an un-revalidated copy
 // may get.
@@ -83,10 +83,9 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 // handler's response and, on a 200, stamps the strong ETag, Cache-Control
 // and Vary, answers a matching If-None-Match with an empty-body 304, and
 // gzips the body when the client negotiated it. Everything else — error
-// envelopes, legacy plain-text errors, 405s — passes through uncacheable
-// (Cache-Control: no-store, never a validator). Both the /v1 data routes
-// and the deprecated aliases mount behind this one middleware, so the two
-// surfaces cannot drift in caching semantics.
+// envelopes, 405s — passes through uncacheable (Cache-Control: no-store,
+// never a validator). Every /v1 data route mounts behind this one
+// middleware, so no two routes can drift in caching semantics.
 func cacheable(m *Metrics, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		br := &bufferedResponse{header: http.Header{}}

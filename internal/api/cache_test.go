@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/sweep"
 )
@@ -23,25 +22,7 @@ import (
 // the caching tests can inspect what the middleware counted.
 func newMetricsServer(t *testing.T, b Backend, m *Metrics, ready func() bool) *httptest.Server {
 	t.Helper()
-	st := report.NewStore(func(ctx context.Context, platform, artifact string) (report.Doc, error) {
-		if artifact != "figure9" {
-			return report.Doc{}, &experiments.AliasError{Alias: artifact, Canonical: "figure9"}
-		}
-		return *report.New(artifact).Append(report.NoteBlock("legacy\n")), nil
-	})
-	h := New(Config{
-		Backend:         b,
-		Metrics:         m,
-		Ready:           ready,
-		LegacyArtifacts: st.Handler([]string{"figure9"}, "baseline"),
-		LegacySweep: sweep.Handler(
-			func(platform string) (sweep.Grid, error) { return b.Grid(platform) },
-			func(ctx context.Context, platform string, g sweep.Grid) (*sweep.Campaign, error) {
-				return b.Sweep(ctx, g)
-			},
-		),
-	})
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(New(Config{Backend: b, Metrics: m, Ready: ready}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -205,8 +186,8 @@ func TestGzipRoundTrip(t *testing.T) {
 }
 
 // TestErrorsUncacheable pins the negative space of the caching policy:
-// no failure — envelope or legacy plain text — ever carries a validator
-// or a cacheable Cache-Control.
+// no failure — on a data route or off the route table — ever carries a
+// validator or a cacheable Cache-Control.
 func TestErrorsUncacheable(t *testing.T) {
 	srv := newMetricsServer(t, &stubBackend{}, nil, nil)
 	paths := []struct {
@@ -218,7 +199,7 @@ func TestErrorsUncacheable(t *testing.T) {
 		{"bad platform", "/v1/artifacts/figure9?platform=vapor", 404},
 		{"cancelled computation", "/v1/artifacts/figure5", 503},
 		{"panic recovery", "/v1/artifacts/figure7", 500},
-		{"legacy bad format", "/artifacts/figure9.yaml", 400},
+		{"pre-v1 artifact path", "/artifacts/figure9.json", 404},
 		{"bad sweep axis", "/v1/sweep?axis=bogus=1", 400},
 	}
 	for _, tc := range paths {
@@ -234,51 +215,6 @@ func TestErrorsUncacheable(t *testing.T) {
 				t.Errorf("error Cache-Control = %q, want no-store", cc)
 			}
 		})
-	}
-}
-
-// TestAliasCachingParity is the drift regression for the deprecated paths:
-// the legacy artifact and sweep routes flow through the same conditional
-// and gzip middleware as /v1, so they serve the same caching headers, honor
-// If-None-Match, and keep their Deprecation marker on the 304.
-func TestAliasCachingParity(t *testing.T) {
-	srv := newMetricsServer(t, &stubBackend{}, nil, nil)
-	canonical := map[string]string{}
-	for _, path := range []string{"/v1/artifacts/figure9", "/v1/sweep"} {
-		_, _, hdr := fetchHdr(t, srv, path, identity)
-		canonical["Cache-Control"] = hdr.Get("Cache-Control")
-		canonical["Vary"] = hdr.Get("Vary")
-		if hdr.Get("ETag") == "" {
-			t.Fatalf("%s served no ETag", path)
-		}
-	}
-	for _, path := range []string{"/artifacts/figure9.txt", "/artifacts/figure9.json", "/sweep"} {
-		code, _, hdr := fetchHdr(t, srv, path, identity)
-		if code != 200 {
-			t.Fatalf("GET %s = %d", path, code)
-		}
-		etag := hdr.Get("ETag")
-		if etag == "" {
-			t.Fatalf("legacy %s served no ETag", path)
-		}
-		for k, want := range canonical {
-			if got := hdr.Get(k); got != want {
-				t.Errorf("legacy %s: %s = %q, want %q (parity with /v1)", path, k, got, want)
-			}
-		}
-		if hdr.Get("Deprecation") != "true" {
-			t.Errorf("legacy %s lost its Deprecation header behind the caching middleware", path)
-		}
-		code, body, hdr := fetchHdr(t, srv, path, map[string]string{
-			"Accept-Encoding": "identity",
-			"If-None-Match":   etag,
-		})
-		if code != 304 || len(body) != 0 {
-			t.Errorf("legacy %s revalidation = %d (%d bytes), want an empty 304", path, code, len(body))
-		}
-		if hdr.Get("Deprecation") != "true" {
-			t.Errorf("legacy %s 304 dropped the Deprecation header", path)
-		}
 	}
 }
 

@@ -88,7 +88,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// errNoRoute reports an unrecognized /v1 path.
+// errNoRoute reports an unrecognized path.
 func errNoRoute(path string) error {
 	return fmt.Errorf("no such route %q (see GET /v1)", path)
 }

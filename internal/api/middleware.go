@@ -95,14 +95,3 @@ func recovery(h http.Handler) http.Handler {
 		h.ServeHTTP(w, r)
 	})
 }
-
-// deprecated mounts a legacy handler unchanged but stamps every response
-// with a Deprecation header and a successor-version Link, so clients can
-// discover the /v1 replacement without the alias breaking.
-func deprecated(h http.Handler, successor string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h.ServeHTTP(w, r)
-	})
-}

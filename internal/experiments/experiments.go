@@ -11,12 +11,12 @@
 // caches) across drivers so that composite invocations such as `memdis all`
 // probe each workload input only once.
 //
-// The suite is a concurrent experiment engine: AllParallel fans the drivers
-// out over a bounded worker pool, and each driver additionally fans out
-// internally over its workloads, input scales, and capacity points when
-// Suite.Workers is above one. Every randomized sweep hands each simulated
-// run its own RNG substream, so parallel output is byte-identical to the
-// sequential output at any worker count.
+// The suite is a concurrent experiment engine: AllParallelContext fans the
+// drivers out over a bounded worker pool, and each driver additionally fans
+// out internally over its workloads, input scales, and capacity points
+// when Suite.Workers is above one. Every randomized sweep hands each
+// simulated run its own RNG substream, so parallel output is
+// byte-identical to the sequential output at any worker count.
 package experiments
 
 import (
@@ -360,34 +360,20 @@ func (s *Suite) All() []Result {
 	return out
 }
 
-// AllParallel runs every experiment concurrently and returns the results
-// in paper order. One limiter of width workers is shared by the
+// AllParallelContext runs every experiment concurrently and returns the
+// results in paper order. One limiter of width workers is shared by the
 // experiment-level fan-out, every driver's internal fan-out, and the
 // Monte-Carlo sweeps inside them, so at most workers tasks ever run at
 // once; the shared profiler coalesces concurrent requests for the same
 // profile into one execution. The rendered results are byte-identical to
 // All() for any worker count.
 //
-// AllParallel installs the shared limiter in the suite for the duration of
-// the call, so a Suite supports one sweep at a time: do not call
-// AllParallel or individual drivers concurrently from multiple goroutines
-// on the same Suite (the engine parallelizes internally; outer concurrency
-// would race on the limiter field).
-func (s *Suite) AllParallel(workers int) []Result {
-	//repro:allow ctxflow — ctx-less compatibility wrapper; cancellable callers use AllParallelContext
-	rs, err := s.AllParallelContext(context.Background(), workers)
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return rs
-}
-
-// AllParallelContext is AllParallel bounded by ctx: the experiment-level
-// fan-out, every driver's internal fan-out and the nested Monte-Carlo
-// sweeps all draw from one context-carrying limiter, so once ctx is done
-// no new task anywhere in the engine starts and the call returns ctx.Err()
-// within one task boundary, with no goroutine left running. An uncancelled
-// call returns exactly AllParallel's results.
+// The limiter carries ctx: once ctx is done no new task anywhere in the
+// engine starts and the call returns ctx.Err() within one task boundary,
+// with no goroutine left running. Concurrent invocations on one Suite
+// queue for its invocation slot; do not call individual drivers
+// concurrently with an invocation (the engine parallelizes internally;
+// outer concurrency would race on the installed limiter).
 func (s *Suite) AllParallelContext(ctx context.Context, workers int) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -102,9 +103,9 @@ func TestQuickTierDeterministic(t *testing.T) {
 
 // TestSweepArtifactsShareOneCampaign pins the single-flight memo: the
 // "sweep" and "sensitivity" drivers must reduce the same executed
-// campaign, not run the grid twice — including when AllParallel requests
-// both concurrently (the full tier exercises that path; here the two
-// driver calls hit the memo sequentially on the warm quick suite).
+// campaign, not run the grid twice — including when AllParallelContext
+// requests both concurrently (the full tier exercises that path; here the
+// two driver calls hit the memo sequentially on the warm quick suite).
 func TestSweepArtifactsShareOneCampaign(t *testing.T) {
 	s := quickSuite()
 	sw := s.Sweep()
@@ -133,7 +134,10 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 	skipShort(t)
 	seq := smallSuite().All()
 	parSuite := smallSuite()
-	par := parSuite.AllParallel(8)
+	par, err := parSuite.AllParallelContext(context.Background(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seq) != len(par) {
 		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -148,9 +152,12 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 		}
 	}
 	if parSuite.limiter != nil {
-		t.Error("AllParallel should uninstall the shared limiter when done")
+		t.Error("AllParallelContext should uninstall the shared limiter when done")
 	}
-	two := parSuite.AllParallel(2)
+	two, err := parSuite.AllParallelContext(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range two {
 		if two[i].Render() != par[i].Render() {
 			t.Errorf("%s: workers=2 and workers=8 disagree", two[i].ID())

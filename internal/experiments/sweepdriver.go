@@ -35,7 +35,7 @@ func (s *Suite) SweepGrid(axes []sweep.Axis) sweep.Grid {
 	return sweep.Grid{Base: s.baseSpec(), Axes: axes}
 }
 
-// campaignEntry is one single-flight memo slot of Suite.RunSweep.
+// campaignEntry is one single-flight memo slot of Suite.RunSweepContext.
 type campaignEntry struct {
 	once sync.Once
 	c    *sweep.Campaign
@@ -43,7 +43,7 @@ type campaignEntry struct {
 }
 
 // maxCampaigns bounds the campaign memo. Grid keys are request-controlled
-// on the serve path (`GET /sweep?axis=...`), and each memoized campaign
+// on the serve path (`GET /v1/sweep?axis=...`), and each memoized campaign
 // holds every cell of an executed grid — an unbounded map would let a
 // client grow server memory one query at a time (the same reason
 // report.Store refuses to memoize errors). When full, an arbitrary older
@@ -51,26 +51,21 @@ type campaignEntry struct {
 // results.
 const maxCampaigns = 16
 
-// RunSweep executes a campaign grid with the suite's workload table,
-// Monte-Carlo run count and concurrency budget, reusing the suite's warm
-// profiler for the base platform. Campaigns are memoized single-flight
-// per grid key, so the "sweep" and "sensitivity" artifacts — even when
-// AllParallel requests them concurrently — and repeated requests for the
-// same grid share one execution. (The memo assumes Entries and Runs are
-// configured before the first campaign runs, like the other suite fields.)
-func (s *Suite) RunSweep(g sweep.Grid) (*sweep.Campaign, error) {
-	//repro:allow ctxflow — ctx-less compatibility wrapper; cancellable callers use RunSweepContext
-	return s.RunSweepContext(context.Background(), g)
-}
-
-// RunSweepContext is RunSweep bounded by ctx: the campaign's fan-out draws
-// from a context-carrying limiter, so once ctx is done the call returns
-// ctx.Err() within one cell boundary (see sweep.Runner.RunContext). An
-// abandoned campaign is never memoized — the single-flight slot is dropped
-// so the next request for the grid re-runs it. An uncancelled call
-// memoizes and returns exactly RunSweep's campaign. Like the other
-// context-first entry points, concurrent invocations on one Suite
-// serialize.
+// RunSweepContext executes a campaign grid with the suite's workload
+// table, Monte-Carlo run count and concurrency budget, reusing the suite's
+// warm profiler for the base platform. Campaigns are memoized
+// single-flight per grid key, so the "sweep" and "sensitivity" artifacts —
+// even when AllParallelContext requests them concurrently — and repeated
+// requests for the same grid share one execution. (The memo assumes
+// Entries and Runs are configured before the first campaign runs, like
+// the other suite fields.)
+//
+// The campaign's fan-out draws from a context-carrying limiter, so once
+// ctx is done the call returns ctx.Err() within one cell boundary (see
+// sweep.Runner.RunContext). An abandoned campaign is never memoized — the
+// single-flight slot is dropped so the next request for the grid re-runs
+// it. Like the other context-first entry points, concurrent invocations
+// on one Suite serialize.
 func (s *Suite) RunSweepContext(ctx context.Context, g sweep.Grid) (*sweep.Campaign, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 var RequiredSurface = map[string][]string{
 	"repro": {
 		// Service construction and options (service.go).
-		"Service", "New", "WithWorkers", "WithScenarios", "WithCache",
+		"Service", "New", "WithWorkers", "WithScenarios",
 		// Core service surface.
 		"Service.Artifact", "Service.Sweep", "Service.ProfileCacheStats",
 		// Jobs surface (jobs.go).

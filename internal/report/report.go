@@ -8,9 +8,9 @@
 // (lossless: the document unmarshals back into an equal Doc) or CSV.
 //
 // On top of the renderers, Store memoizes one render per (platform,
-// artifact, format) triple, writes artifact directories, and serves any
-// artifact in any format over HTTP — computation happens once, presentation
-// is a lookup.
+// artifact, format) triple and writes artifact directories; the /v1 HTTP
+// API (internal/api) serves from it — computation happens once,
+// presentation is a lookup.
 package report
 
 import (

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -312,63 +310,5 @@ func TestStoreWriteDir(t *testing.T) {
 	}
 	if !reflect.DeepEqual(paths, want) {
 		t.Errorf("paths = %v, want %v", paths, want)
-	}
-}
-
-// TestHandler checks the HTTP surface: the index, per-format content
-// types, and error mapping.
-func TestHandler(t *testing.T) {
-	st := NewStore(func(_ context.Context, platform, artifact string) (Doc, error) {
-		if platform != "baseline" && platform != "cxl-gen5" {
-			return Doc{}, fmt.Errorf("unknown scenario %q", platform)
-		}
-		if artifact != "figure9" {
-			return Doc{}, fmt.Errorf("unknown id %q", artifact)
-		}
-		d := testDoc()
-		d.Artifact = artifact
-		return d, nil
-	})
-	srv := httptest.NewServer(st.Handler([]string{"figure9"}, "baseline"))
-	defer srv.Close()
-	get := func(path string) (int, string, string) {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
-	}
-	if code, _, body := get("/"); code != 200 || !strings.Contains(body, "/artifacts/figure9.json") {
-		t.Errorf("index: code=%d body=%q", code, body)
-	}
-	code, ct, body := get("/artifacts/figure9.json")
-	if code != 200 || ct != "application/json" {
-		t.Errorf("json artifact: code=%d ct=%q", code, ct)
-	}
-	if d, err := ParseJSON(body); err != nil || d.Artifact != "figure9" || d.Platform != "baseline" {
-		t.Errorf("served JSON does not parse back: %v %+v", err, d)
-	}
-	if code, ct, _ := get("/artifacts/figure9.csv?platform=cxl-gen5"); code != 200 || ct != "text/csv; charset=utf-8" {
-		t.Errorf("csv artifact: code=%d ct=%q", code, ct)
-	}
-	if code, ct, _ := get("/artifacts/figure9.txt"); code != 200 || ct != "text/plain; charset=utf-8" {
-		t.Errorf("txt artifact: code=%d ct=%q", code, ct)
-	}
-	if code, _, _ := get("/artifacts/figure9.yaml"); code != 400 {
-		t.Errorf("unknown format: code=%d, want 400", code)
-	}
-	if code, _, _ := get("/artifacts/nope.json"); code != 404 {
-		t.Errorf("unknown artifact: code=%d, want 404", code)
-	}
-	if code, _, _ := get("/artifacts/figure9.json?platform=vapor"); code != 404 {
-		t.Errorf("unknown platform: code=%d, want 404", code)
-	}
-	if code, _, _ := get("/artifacts/figure9"); code != 400 {
-		t.Errorf("missing extension: code=%d, want 400", code)
 	}
 }

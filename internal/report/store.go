@@ -118,7 +118,7 @@ func (st *Store) doc(ctx context.Context, platform, artifact string) (Doc, uint6
 
 // Put seeds the store with a precomputed document keyed by the given
 // platform and the doc's artifact id — the hook for parallel sweeps
-// (Suite.AllParallel) that compute many documents at once and hand them to
+// (Service.RunAll) that compute many documents at once and hand them to
 // the store for rendering and serving.
 func (st *Store) Put(platform string, d Doc) {
 	if d.Platform == "" {

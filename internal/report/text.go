@@ -29,6 +29,16 @@ func (f Format) Ext() string {
 	return string(f)
 }
 
+// contentTypes maps formats to HTTP media types.
+var contentTypes = map[Format]string{
+	FormatText: "text/plain; charset=utf-8",
+	FormatJSON: "application/json",
+	FormatCSV:  "text/csv; charset=utf-8",
+}
+
+// ContentType returns the HTTP media type a format is served with.
+func ContentType(f Format) string { return contentTypes[f] }
+
 // FormatError reports an unparseable format spelling together with the
 // full accepted vocabulary — every entry point (CLI flags, file
 // extensions, query parameters, Accept negotiation) fails with the same
@@ -53,10 +63,9 @@ func (e *FormatError) Error() string {
 
 // ParseFormat resolves a -format flag, query value or file extension. All
 // spellings are case-insensitive, and the extension "txt" is accepted
-// everywhere as an alias for "text" — the CLI, the artifact URLs WriteDir
-// and the HTTP handlers derive from Ext, and the /v1 query parameters all
-// share this one parser. Failure returns a *FormatError listing the
-// accepted spellings.
+// everywhere as an alias for "text" — the CLI, the file names WriteDir
+// derives from Ext, and the /v1 query parameters all share this one
+// parser. Failure returns a *FormatError listing the accepted spellings.
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(s) {
 	case "txt", "text":

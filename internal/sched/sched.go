@@ -19,9 +19,9 @@
 //
 // The Monte-Carlo sweeps are embarrassingly parallel and deterministic at
 // the same time: every simulated run owns the RNG substream of its run
-// index (stats.RNG.Stream), so Distribution and Compare produce
-// byte-identical results whether executed sequentially or across a worker
-// pool of any size.
+// index (stats.RNG.Stream), so DistributionLimited and CompareLimited
+// produce byte-identical results whether executed sequentially or across a
+// worker pool of any size.
 package sched
 
 import (
@@ -55,8 +55,8 @@ func Aware() Interference { return Interference{MaxLoI: 0.2, Period: 60} }
 // 1/T(LoI); the run time is the total simulated wall clock.
 //
 // Distributions of many runs over the same (cfg, phases) should go through
-// Distribution*/Compare*, which build the phase evaluator once and share it
-// across runs instead of paying the timing-model setup per run.
+// DistributionLimited/CompareLimited, which build the phase evaluator once
+// and share it across runs instead of paying the timing-model setup per run.
 func SimulateRun(cfg machine.Config, phases []machine.PhaseStats, pol Interference, rng *stats.RNG) float64 {
 	return simulateRun(machine.NewEvaluator(cfg, phases), pol, rng)
 }
@@ -95,25 +95,12 @@ func simulateRun(ev *machine.Evaluator, pol Interference, rng *stats.RNG) float6
 	return now
 }
 
-// Distribution runs n independent simulations and returns the run times.
-// Run i draws from substream i of the seeded generator, so the result is
-// identical to DistributionParallel at any worker count.
-func Distribution(cfg machine.Config, phases []machine.PhaseStats, pol Interference, n int, seed uint64) []float64 {
-	return DistributionParallel(cfg, phases, pol, n, seed, 1)
-}
-
-// DistributionParallel runs n independent simulations across a bounded
-// worker pool. Each run i owns the deterministic RNG substream
+// DistributionLimited runs n independent simulations, drawing workers from
+// a shared concurrency limiter (nil runs sequentially) so callers that are
+// themselves part of a parallel sweep (the Figure 13 driver) stay inside
+// one global budget. Each run i owns the deterministic RNG substream
 // stats.NewRNG(seed).Stream(i), so times[i] depends only on (seed, i): the
-// returned slice is byte-identical for any worker count, including the
-// sequential workers=1 case.
-func DistributionParallel(cfg machine.Config, phases []machine.PhaseStats, pol Interference, n int, seed uint64, workers int) []float64 {
-	return DistributionLimited(cfg, phases, pol, n, seed, pool.NewLimiter(workers))
-}
-
-// DistributionLimited is DistributionParallel drawing workers from a shared
-// concurrency limiter, so callers that are themselves part of a parallel
-// sweep (the Figure 13 driver) stay inside one global budget.
+// returned slice is byte-identical for any limiter width.
 func DistributionLimited(cfg machine.Config, phases []machine.PhaseStats, pol Interference, n int, seed uint64, l *pool.Limiter) []float64 {
 	// Substreams derives all n substream states in one O(n) pass over the
 	// jump chain and one allocation; substream i is identical to
@@ -126,19 +113,6 @@ func DistributionLimited(cfg machine.Config, phases []machine.PhaseStats, pol In
 		times[i] = simulateRun(ev, pol, &rngs[i])
 	})
 	return times
-}
-
-// DistributionContext is DistributionLimited gated by ctx: once ctx is
-// done no further simulation starts, and the call returns ctx.Err() with a
-// nil slice. An uncancelled call returns exactly DistributionLimited's
-// times — cancellation awareness never perturbs the substream decomposition.
-func DistributionContext(ctx context.Context, cfg machine.Config, phases []machine.PhaseStats, pol Interference, n int, seed uint64, l *pool.Limiter) ([]float64, error) {
-	cl := l.WithContext(ctx)
-	times := DistributionLimited(cfg, phases, pol, n, seed, cl)
-	if err := cl.Err(); err != nil {
-		return nil, err
-	}
-	return times, nil
 }
 
 // Summary compares baseline and interference-aware distributions for one
@@ -154,17 +128,6 @@ type Summary struct {
 	P75Reduction float64
 }
 
-// Compare runs the Figure 13 protocol: n runs under each scheduler.
-func Compare(workload string, cfg machine.Config, phases []machine.PhaseStats, n int, seed uint64) Summary {
-	return CompareParallel(workload, cfg, phases, n, seed, 1)
-}
-
-// CompareParallel is Compare with the two run distributions simulated on a
-// bounded worker pool. The summary is byte-identical for any worker count.
-func CompareParallel(workload string, cfg machine.Config, phases []machine.PhaseStats, n int, seed uint64, workers int) Summary {
-	return CompareLimited(workload, cfg, phases, n, seed, pool.NewLimiter(workers))
-}
-
 // CompareContext is CompareLimited gated by ctx: once ctx is done no
 // further Monte-Carlo run starts, and the call returns ctx.Err() with a
 // zero Summary. The uncancelled summary is byte-identical to
@@ -178,8 +141,9 @@ func CompareContext(ctx context.Context, workload string, cfg machine.Config, ph
 	return s, nil
 }
 
-// CompareLimited is CompareParallel drawing workers from a shared
-// concurrency limiter.
+// CompareLimited runs the Figure 13 protocol: n runs under each
+// scheduler, drawing workers from a shared concurrency limiter (nil runs
+// sequentially). The summary is byte-identical for any limiter width.
 func CompareLimited(workload string, cfg machine.Config, phases []machine.PhaseStats, n int, seed uint64, l *pool.Limiter) Summary {
 	base := DistributionLimited(cfg, phases, Baseline(), n, seed, l)
 	aware := DistributionLimited(cfg, phases, Aware(), n, seed+1, l)

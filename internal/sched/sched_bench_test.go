@@ -36,7 +36,7 @@ func TestDistributionMatchesPerRunSimulate(t *testing.T) {
 	cfg := machine.Default()
 	phases := benchPhases()
 	const n, seed = 40, 123
-	got := Distribution(cfg, phases, Baseline(), n, seed)
+	got := DistributionLimited(cfg, phases, Baseline(), n, seed, nil)
 	base := stats.NewRNG(seed)
 	for i := 0; i < n; i++ {
 		want := SimulateRun(cfg, phases, Baseline(), base.Stream(i))

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/machine"
+	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -74,14 +77,14 @@ func TestSimulateRunCrossesRerollBoundaries(t *testing.T) {
 func TestDistributionDeterministicPerSeed(t *testing.T) {
 	cfg := testConfig()
 	ph := []machine.PhaseStats{phaseRemote(1<<30, 0.5, 1e9)}
-	a := Distribution(cfg, ph, Baseline(), 20, 42)
-	b := Distribution(cfg, ph, Baseline(), 20, 42)
+	a := DistributionLimited(cfg, ph, Baseline(), 20, 42, nil)
+	b := DistributionLimited(cfg, ph, Baseline(), 20, 42, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	c := Distribution(cfg, ph, Baseline(), 20, 43)
+	c := DistributionLimited(cfg, ph, Baseline(), 20, 43, nil)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -98,7 +101,7 @@ func TestCompareAwareImprovesSensitiveJob(t *testing.T) {
 	cfg := testConfig()
 	// High remote share, low AI: the Hypre-like sensitive case.
 	ph := []machine.PhaseStats{phaseRemote(8<<30, 0.8, 1e8)}
-	s := Compare("hypre-like", cfg, ph, mcRuns(100), 5)
+	s := CompareLimited("hypre-like", cfg, ph, mcRuns(100), 5, nil)
 	if s.MeanSpeedup <= 0 {
 		t.Errorf("aware scheduling should speed up a sensitive job, got %.4f", s.MeanSpeedup)
 	}
@@ -115,7 +118,7 @@ func TestCompareInsensitiveJobUnaffected(t *testing.T) {
 	cfg := testConfig()
 	// No remote traffic: interference cannot matter.
 	ph := []machine.PhaseStats{phaseRemote(1<<30, 0, 1e9)}
-	s := Compare("local-only", cfg, ph, mcRuns(50), 9)
+	s := CompareLimited("local-only", cfg, ph, mcRuns(50), 9, nil)
 	if s.MeanSpeedup > 0.001 {
 		t.Errorf("local-only job should see ~0 speedup, got %.4f", s.MeanSpeedup)
 	}
@@ -242,9 +245,9 @@ func TestSimulateRunBoundedProperty(t *testing.T) {
 func TestDistributionParallelByteIdentical(t *testing.T) {
 	cfg := testConfig()
 	ph := []machine.PhaseStats{phaseRemote(1<<30, 0.5, 1e9)}
-	want := Distribution(cfg, ph, Baseline(), 40, 42)
-	for _, workers := range []int{2, 4, 16} {
-		got := DistributionParallel(cfg, ph, Baseline(), 40, 42, workers)
+	want := DistributionLimited(cfg, ph, Baseline(), 40, 42, nil)
+	for _, workers := range []int{2, 4, 8, 16} {
+		got := DistributionLimited(cfg, ph, Baseline(), 40, 42, pool.NewLimiter(workers))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: run %d diverged: %v vs %v", workers, i, got[i], want[i])
@@ -256,24 +259,53 @@ func TestDistributionParallelByteIdentical(t *testing.T) {
 func TestCompareParallelByteIdentical(t *testing.T) {
 	cfg := testConfig()
 	ph := []machine.PhaseStats{phaseRemote(8<<30, 0.8, 1e8)}
-	want := Compare("x", cfg, ph, 60, 5)
-	got := CompareParallel("x", cfg, ph, 60, 5, 8)
-	if want != got {
-		t.Fatalf("parallel summary diverged:\nseq: %+v\npar: %+v", want, got)
+	want := CompareLimited("x", cfg, ph, 60, 5, nil)
+	for _, workers := range []int{2, 4, 8, 16} {
+		if got := CompareLimited("x", cfg, ph, 60, 5, pool.NewLimiter(workers)); got != want {
+			t.Fatalf("workers=%d: summary diverged:\nseq: %+v\npar: %+v", workers, want, got)
+		}
+	}
+}
+
+// TestCompareContext pins the ctx-first entry point: a pre-cancelled
+// context starts no run and yields context.Canceled with a zero Summary,
+// and an uncancelled call equals CompareLimited at every limiter width.
+func TestCompareContext(t *testing.T) {
+	cfg := testConfig()
+	ph := []machine.PhaseStats{phaseRemote(8<<30, 0.8, 1e8)}
+	want := CompareLimited("x", cfg, ph, 60, 5, nil)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, err := CompareContext(ctx, "x", cfg, ph, 60, 5, pool.NewLimiter(4))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	if s != (Summary{}) {
+		t.Fatalf("pre-cancelled: summary = %+v, want zero", s)
+	}
+
+	for i, l := range []*pool.Limiter{nil, pool.NewLimiter(1), pool.NewLimiter(8)} {
+		got, err := CompareContext(context.Background(), "x", cfg, ph, 60, 5, l)
+		if err != nil || got != want {
+			t.Fatalf("limiter %d of [nil, 1, 8]: summary %+v, err %v; want %+v", i, got, err, want)
+		}
 	}
 }
 
 // Property: runs of a distribution are independent draws — permuting the
 // run count must not change the values of earlier runs (substreams are
-// keyed by run index, not consumed from one shared stream).
+// keyed by run index, not consumed from one shared stream), at any width.
 func TestDistributionPrefixStable(t *testing.T) {
 	cfg := testConfig()
 	ph := []machine.PhaseStats{phaseRemote(1<<30, 0.6, 1e9)}
-	short := Distribution(cfg, ph, Baseline(), 10, 7)
-	long := Distribution(cfg, ph, Baseline(), 30, 7)
-	for i := range short {
-		if short[i] != long[i] {
-			t.Fatalf("run %d changed when n grew: %v vs %v", i, short[i], long[i])
+	short := DistributionLimited(cfg, ph, Baseline(), 10, 7, nil)
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		long := DistributionLimited(cfg, ph, Baseline(), 30, 7, pool.NewLimiter(workers))
+		for i := range short {
+			if short[i] != long[i] {
+				t.Fatalf("workers=%d: run %d changed when n grew: %v vs %v", workers, i, short[i], long[i])
+			}
 		}
 	}
 }

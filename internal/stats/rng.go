@@ -11,8 +11,6 @@
 // or scheduling order.
 package stats
 
-import "math"
-
 // RNG is a deterministic 64-bit pseudo-random generator (xoshiro256**).
 // The zero value is not usable; construct with NewRNG.
 type RNG struct {
@@ -64,36 +62,9 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly distributed value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard normal variate (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		v := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // jumpPoly and longJumpPoly are the xoshiro256** jump polynomials: applying
@@ -187,12 +158,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders n elements using the provided swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -9,9 +9,9 @@ package stats
 //
 // The result depends only on (base, coords...): never on worker count,
 // completion order, or how the grid happened to be flattened into task
-// indices. Feeding the derived seed to NewRNG (or to sched.Compare, which
-// does so internally) therefore gives every sweep cell its own independent,
-// reproducible substream — the same per-index contract RNG.Stream provides
+// indices. Feeding the derived seed to NewRNG (or to sched.CompareLimited,
+// which does so internally) therefore gives every sweep cell its own
+// independent, reproducible substream — the same per-index contract RNG.Stream provides
 // for flat fan-outs, extended to multi-axis grids.
 func SeedAt(base uint64, coords ...uint64) uint64 {
 	z := base

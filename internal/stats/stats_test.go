@@ -179,15 +179,3 @@ func TestFiveNumberOrderedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestNormAndExpFinite(t *testing.T) {
-	r := NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		if n := r.NormFloat64(); math.IsNaN(n) || math.IsInf(n, 0) {
-			t.Fatalf("NormFloat64 produced %v", n)
-		}
-		if e := r.ExpFloat64(); e < 0 || math.IsInf(e, 0) {
-			t.Fatalf("ExpFloat64 produced %v", e)
-		}
-	}
-}

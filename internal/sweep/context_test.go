@@ -81,22 +81,26 @@ func TestRunContextPreCancelled(t *testing.T) {
 }
 
 // TestRunContextUncancelledMatchesRun is the byte-identical guarantee of
-// the context path: a live context changes nothing about the campaign.
+// the context path: a live, cancellable context on a parallel limiter
+// changes nothing about the campaign against the reference run (a
+// never-cancelled background context on the sequential limiter).
 func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	r1 := &Runner{Grid: quickGrid(), Entries: quickEntries(), Runs: 3}
-	want, err := r1.Run(nil)
+	want, err := r1.RunContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	r2 := &Runner{Grid: quickGrid(), Entries: quickEntries(), Runs: 3}
-	got, err := r2.RunContext(context.Background(), pool.NewLimiter(4))
+	got, err := r2.RunContext(ctx, pool.NewLimiter(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gs, ws := mustText(t, got.Sweep()), mustText(t, want.Sweep()); gs != ws {
-		t.Errorf("context path sweep render differs from plain Run (%d vs %d bytes)", len(gs), len(ws))
+		t.Errorf("live-context sweep render differs from the reference run (%d vs %d bytes)", len(gs), len(ws))
 	}
 	if gs, ws := mustText(t, got.Sensitivity()), mustText(t, want.Sensitivity()); gs != ws {
-		t.Errorf("context path sensitivity render differs from plain Run (%d vs %d bytes)", len(gs), len(ws))
+		t.Errorf("live-context sensitivity render differs from the reference run (%d vs %d bytes)", len(gs), len(ws))
 	}
 }

@@ -93,24 +93,18 @@ type Runner struct {
 	OnCell func(i int, c Cell)
 }
 
-// Run executes every cell of the campaign within the given limiter's
-// budget (nil means sequential) and returns the aggregated campaign.
-// The result is byte-identical for any limiter width: cells are seeded by
-// grid coordinates, results land in index-addressed slots, and the
-// aggregator's reductions are order-independent.
-func (r *Runner) Run(l *pool.Limiter) (*Campaign, error) {
-	//repro:allow ctxflow — ctx-less compatibility wrapper; cancellable callers use RunContext
-	return r.RunContext(context.Background(), l)
-}
-
-// RunContext is Run gated by ctx: once ctx is done, no new (cell, workload)
-// task — and no new Monte-Carlo run inside one, since the nested scheduling
-// sweeps draw from the same context-carrying limiter — starts. The call
-// then returns ctx.Err() within one task boundary (in-flight cells finish;
-// none of their results are returned) and leaks no goroutines: the pool
-// workers drain the cancelled claim counter and exit before RunContext
-// returns. An uncancelled RunContext returns the byte-identical campaign
-// Run produces.
+// RunContext executes every cell of the campaign within the given
+// limiter's budget (nil means sequential) and returns the aggregated
+// campaign. The result is byte-identical for any limiter width: cells are
+// seeded by grid coordinates, results land in index-addressed slots, and
+// the aggregator's reductions are order-independent.
+//
+// Once ctx is done, no new (cell, workload) task — and no new Monte-Carlo
+// run inside one, since the nested scheduling sweeps draw from the same
+// context-carrying limiter — starts. The call then returns ctx.Err()
+// within one task boundary (in-flight cells finish; none of their results
+// are returned) and leaks no goroutines: the pool workers drain the
+// cancelled claim counter and exit before RunContext returns.
 func (r *Runner) RunContext(ctx context.Context, l *pool.Limiter) (*Campaign, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pool"
@@ -19,7 +20,7 @@ func TestIsolatedMatchesShared(t *testing.T) {
 	render := func(isolated bool, workers int) (string, *Runner) {
 		t.Helper()
 		r := &Runner{Grid: grid, Entries: quickEntries(), Runs: 3, Isolated: isolated}
-		c, err := r.Run(pool.NewLimiter(workers))
+		c, err := r.RunContext(context.Background(), pool.NewLimiter(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

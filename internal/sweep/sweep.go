@@ -62,16 +62,16 @@ func invalidf(format string, args ...any) error {
 }
 
 // MaxAxisValues bounds one axis's value count. It is enforced by
-// validation (which every entry point — Runner.Run, the HTTP handler, the
-// CLI — goes through), so a typo'd range ("lat=0:1e12:1") fails fast
+// validation (which every entry point — Runner.RunContext, the HTTP API,
+// the CLI — goes through), so a typo'd range ("lat=0:1e12:1") fails fast
 // instead of allocating an astronomically sized campaign.
 //
 // MaxSyncGridCells bounds the campaigns a single *synchronous* request may
-// compute — the GET /v1/sweep route and its deprecated /sweep alias, whose
-// lifetime is one HTTP request. It is not a library limit: Grid.Validate
-// accepts any cross-product size, and grids above the cap run through the
-// asynchronous job manager (POST /v1/jobs, `memdis jobs submit`), which
-// checkpoints cells as they finish and survives restarts.
+// compute — the GET /v1/sweep route, whose lifetime is one HTTP request.
+// It is not a library limit: Grid.Validate accepts any cross-product size,
+// and grids above the cap run through the asynchronous job manager (POST
+// /v1/jobs, `memdis jobs submit`), which checkpoints cells as they finish
+// and survives restarts.
 const (
 	MaxAxisValues    = 1024
 	MaxSyncGridCells = 4096

@@ -3,9 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -290,7 +287,7 @@ func quickGrid() Grid {
 func runQuick(t *testing.T, workers int) map[string]string {
 	t.Helper()
 	r := &Runner{Grid: quickGrid(), Entries: quickEntries(), Runs: 5}
-	c, err := r.Run(pool.NewLimiter(workers))
+	c, err := r.RunContext(context.Background(), pool.NewLimiter(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +333,7 @@ func TestCampaignShape(t *testing.T) {
 		}
 		last = done
 	}
-	c, err := r.Run(nil)
+	c, err := r.RunContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,77 +367,4 @@ func TestCampaignShape(t *testing.T) {
 				c.Workloads[wi], c.Cells[0][wi].RemoteAccess, c.Cells[1][wi].RemoteAccess)
 		}
 	}
-}
-
-// TestHandler exercises the /sweep endpoint: default grid, custom axes,
-// artifact/format selection, and the error paths.
-func TestHandler(t *testing.T) {
-	campaigns := 0
-	h := Handler(
-		func(platform string) (Grid, error) {
-			if platform != "" && platform != "baseline" {
-				return Grid{}, scenarioErr(platform)
-			}
-			return quickGrid(), nil
-		},
-		func(ctx context.Context, platform string, g Grid) (*Campaign, error) {
-			campaigns++
-			r := &Runner{Grid: g, Entries: quickEntries(), Runs: 2}
-			return r.RunContext(ctx, nil)
-		})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	get := func(q string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/sweep" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	if code, body := get(""); code != http.StatusOK || !strings.Contains(body, "Campaign grid") {
-		t.Errorf("GET /sweep = %d, body %q", code, firstLine(body))
-	}
-	if code, body := get("?artifact=sensitivity&format=json"); code != http.StatusOK || !strings.Contains(body, `"artifact": "sensitivity"`) {
-		t.Errorf("GET sensitivity json = %d, body %q", code, firstLine(body))
-	}
-	if code, body := get("?axis=frac=0.5&format=csv"); code != http.StatusOK || !strings.Contains(body, "frac=0.5") {
-		t.Errorf("GET custom axis csv = %d, body %q", code, firstLine(body))
-	}
-	if code, _ := get("?axis=volts=1"); code != http.StatusBadRequest {
-		t.Errorf("unknown axis: got %d, want 400", code)
-	}
-	if code, _ := get("?format=yaml"); code != http.StatusBadRequest {
-		t.Errorf("unknown format: got %d, want 400", code)
-	}
-	if code, _ := get("?artifact=figure9"); code != http.StatusBadRequest {
-		t.Errorf("unknown artifact: got %d, want 400", code)
-	}
-	if code, _ := get("?platform=nope"); code != http.StatusNotFound {
-		t.Errorf("unknown platform: got %d, want 404", code)
-	}
-	// Only the three well-formed requests should have executed a campaign
-	// (memoization across requests is the wiring's job, not the handler's).
-	if campaigns != 3 {
-		t.Errorf("run called %d times, want 3", campaigns)
-	}
-}
-
-func scenarioErr(platform string) error {
-	_, err := scenario.Get(platform)
-	return err
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -35,7 +36,11 @@ func BenchmarkSuiteAllParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := experiments.Default()
-				if got := len(s.AllParallel(workers)); got != len(experiments.IDs) {
+				rs, err := s.AllParallelContext(context.Background(), workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := len(rs); got != len(experiments.IDs) {
 					b.Fatalf("rendered %d artifacts", got)
 				}
 			}
@@ -55,14 +60,14 @@ func BenchmarkSchedulerRuns(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSummary = benchCompare(entry.Name, cfg, rep, workers)
+				s, err := CompareSchedulers(context.Background(), entry.Name, cfg, rep.Phase2Stats, 100, 1017, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSummary = s
 			}
 		})
 	}
 }
 
-var benchSummary any
-
-func benchCompare(name string, cfg Platform, rep Level2Report, workers int) any {
-	return CompareSchedulersParallel(name, cfg, rep.Phase2Stats, 100, 1017, workers)
-}
+var benchSummary ScheduleSummary

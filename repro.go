@@ -104,11 +104,6 @@ func DefaultPlatform() Platform { return machine.Default() }
 // capacity tiers, skewed splits.
 type Scenario = scenario.Spec
 
-// Platforms returns every registered scenario, the paper's testbed
-// ("baseline") first — a thin wrapper over the default Service's scenario
-// set (Default().Scenarios()).
-func Platforms() []Scenario { return Default().Scenarios() }
-
 // PlatformNamed looks up a scenario by name (e.g. "cxl-gen5").
 func PlatformNamed(name string) (Scenario, error) { return scenario.Get(name) }
 
@@ -149,10 +144,9 @@ type WorkloadEntry = registry.Entry
 // through named phases.
 type Runnable = workloads.Workload
 
-// Workloads returns the six evaluated applications in the paper's order —
-// a thin wrapper over the default Service's workload table
-// (Default().Workloads()).
-func Workloads() []WorkloadEntry { return Default().Workloads() }
+// Workloads returns the six evaluated applications in the paper's order.
+// The slice is a copy.
+func Workloads() []WorkloadEntry { return registry.All() }
 
 // Workload looks up an application by name (e.g. "BFS").
 func Workload(name string) (WorkloadEntry, error) { return registry.Get(name) }
@@ -218,24 +212,12 @@ type ScheduleSummary = sched.Summary
 
 // CompareSchedulers runs the Figure 13 protocol: n runs of the profiled
 // phases under the baseline (LoI 0-50%) and interference-aware (LoI 0-20%)
-// interference processes.
-func CompareSchedulers(name string, p Platform, phases []PhaseStats, n int, seed uint64) ScheduleSummary {
-	return sched.Compare(name, p, phases, n, seed)
-}
-
-// CompareSchedulersParallel is CompareSchedulers with the Monte-Carlo runs
-// fanned out over a bounded pool of workers goroutines. Every run owns a
-// deterministic RNG substream keyed by its run index, so the summary is
-// byte-identical to the sequential CompareSchedulers for any worker count.
-func CompareSchedulersParallel(name string, p Platform, phases []PhaseStats, n int, seed uint64, workers int) ScheduleSummary {
-	return sched.CompareParallel(name, p, phases, n, seed, workers)
-}
-
-// CompareSchedulersContext is CompareSchedulersParallel bounded by ctx:
-// once ctx is done no further Monte-Carlo run starts and the call returns
-// ctx.Err(). An uncancelled summary is byte-identical to
-// CompareSchedulersParallel's.
-func CompareSchedulersContext(ctx context.Context, name string, p Platform, phases []PhaseStats, n int, seed uint64, workers int) (ScheduleSummary, error) {
+// interference processes, fanned out over at most workers goroutines
+// (values below 2 run sequentially). Every run owns a deterministic RNG
+// substream keyed by its run index, so the summary is byte-identical for
+// any worker count. Once ctx is done no further Monte-Carlo run starts and
+// the call returns ctx.Err().
+func CompareSchedulers(ctx context.Context, name string, p Platform, phases []PhaseStats, n int, seed uint64, workers int) (ScheduleSummary, error) {
 	return sched.CompareContext(ctx, name, p, phases, n, seed, pool.NewLimiter(workers))
 }
 
@@ -325,31 +307,9 @@ func ReplayTrace(p Platform, r io.Reader) (*Machine, error) {
 	return m, nil
 }
 
-// ExperimentSuite regenerates the paper's tables and figures. Suite.All
-// runs the drivers sequentially; Suite.AllParallel fans them out over a
-// bounded worker pool with byte-identical output (see the Workers field for
-// intra-driver fan-out).
-type ExperimentSuite = experiments.Suite
-
-// NewExperiments returns the experiment suite on the given platform with
-// the paper's capacity protocol.
-func NewExperiments(p Platform) *ExperimentSuite { return experiments.NewSuite(p) }
-
-// NewExperimentsFor returns the experiment suite for a scenario: its
-// platform plus its capacity sweep and headline split, so the drivers
-// reproduce the paper's protocol on the alternate system (what the CLI's
-// -platform flag does). Use this — not NewExperiments(sc.Platform), which
-// would drop the scenario's capacity protocol — when starting from a
-// Scenario.
-//
-// The scenario must be valid (every registered scenario is); hand-built
-// specs with, e.g., a HeadlineFraction outside (0, 1) panic here with the
-// validation error instead of silently running at the paper's 50% split.
-func NewExperimentsFor(sc Scenario) *ExperimentSuite { return experiments.NewSuiteFor(sc) }
-
-// ExperimentIDs lists every table/figure id in paper order — a thin
-// wrapper over the default Service (Default().IDs()).
-func ExperimentIDs() []string { return Default().IDs() }
+// ExperimentIDs lists every table/figure id in paper order. The slice is a
+// copy.
+func ExperimentIDs() []string { return append([]string(nil), experiments.IDs...) }
 
 // CanonicalArtifactID resolves an artifact id or figure alias ("fig9") to
 // its canonical id ("figure9") — the id documents report, stores key on,
@@ -370,7 +330,8 @@ func ParseSweepAxis(s string) (SweepAxis, error) { return sweep.ParseAxis(s) }
 // SweepGrid is a declarative sweep campaign: a base scenario plus the axes
 // whose cross-product generates one derived scenario per grid cell, each
 // with a canonical name such as "gen=5,frac=0.25". It is the unbounded
-// generator counterpart of the fixed Platforms() registry.
+// generator counterpart of the fixed scenario registry
+// (Service.Scenarios).
 type SweepGrid = sweep.Grid
 
 // SweepCell holds one workload's headline metrics on one grid cell: the
@@ -390,25 +351,6 @@ type SweepCampaign = sweep.Campaign
 // crossed with the paper's three local-capacity fractions. It is the grid
 // behind the "sweep" and "sensitivity" experiment artifacts.
 func DefaultSweepGrid(base Scenario) SweepGrid { return sweep.DefaultGrid(base) }
-
-// RunSweep executes a sweep campaign over the given grid with the paper's
-// defaults (all six workloads, 100 scheduler runs per cell), fanned out
-// over a bounded pool of workers (0 or less selects every core). The
-// result is byte-identical for any worker count: each cell owns a
-// deterministic RNG substream derived from its grid coordinates.
-//
-// Deprecated: use Service.Sweep, which memoizes campaigns single-flight
-// per grid, shares the suite's warm profiler caches, and supports
-// cancellation. RunSweep runs each call from scratch.
-func RunSweep(g SweepGrid, workers int) (*SweepCampaign, error) {
-	r := &sweep.Runner{Grid: g}
-	return r.Run(pool.NewLimiter(pool.Workers(workers)))
-}
-
-// ExperimentResult is one experiment's outcome: its artifact id, its typed
-// document (Report) and its text rendering (Render, which is
-// RenderText(Report())).
-type ExperimentResult = experiments.Result
 
 // Doc is the typed artifact document every experiment reduces to: an
 // ordered list of Table/Series/Timeline/Dist/Note blocks with units-aware
@@ -453,33 +395,6 @@ func ParseArtifactJSON(s string) (Doc, error) { return report.ParseJSON(s) }
 // RenderArtifact renders a document in the given format.
 func RenderArtifact(d Doc, f ArtifactFormat) (string, error) { return report.Render(d, f) }
 
-// ArtifactSource computes the document of one artifact on one platform —
-// the seam an ArtifactStore sits in front of.
-type ArtifactSource = report.Source
-
 // ArtifactStore memoizes artifact documents and renders per (platform,
-// artifact, format), writes artifact directories, and serves artifacts
-// over HTTP (Handler).
+// artifact, format) and writes artifact directories (Service.Store).
 type ArtifactStore = report.Store
-
-// NewArtifactStore returns an empty store over the given source.
-func NewArtifactStore(src ArtifactSource) *ArtifactStore { return report.NewStore(src) }
-
-// NewExperimentSource adapts the experiment suites to an ArtifactSource:
-// one suite per requested scenario (built with NewExperimentsFor, so each
-// uses its scenario's capacity protocol), documents computed on demand
-// through the context-aware engine path. The returned source is safe for
-// concurrent use, though the store it usually sits behind serializes
-// document computation anyway.
-//
-// Only canonical artifact ids (ExperimentIDs) are accepted: an alias like
-// "fig9" errors with a pointer to the canonical id rather than computing
-// and caching a duplicate document under a key that diverges from the
-// document's Artifact field.
-//
-// Deprecated: this is the default Service's source, exposed for callers
-// that assemble their own ArtifactStore. New code should use Service
-// (repro.New), whose store already sits in front of this source.
-func NewExperimentSource() ArtifactSource {
-	return Default().source
-}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -86,7 +87,10 @@ func TestFacadeSchedulers(t *testing.T) {
 		LocalBytes: 1 << 28, RemoteBytes: 1 << 29,
 		DemandMissRemote: 1 << 15,
 	}}
-	s := CompareSchedulers("synthetic", platform, phases, 40, 7)
+	s, err := CompareSchedulers(context.Background(), "synthetic", platform, phases, 40, 7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.MeanSpeedup < 0 {
 		t.Fatalf("aware scheduler should not slow a pool-heavy job: %v", s.MeanSpeedup)
 	}
@@ -122,9 +126,13 @@ func TestFacadeExperimentIDs(t *testing.T) {
 }
 
 func TestFacadePlatforms(t *testing.T) {
-	ps := Platforms()
+	svc, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := svc.Scenarios()
 	if len(ps) < 5 {
-		t.Fatalf("Platforms() = %d entries, want >= 5", len(ps))
+		t.Fatalf("Scenarios() = %d entries, want >= 5", len(ps))
 	}
 	if ps[0].Name != "baseline" {
 		t.Fatalf("first scenario = %q, want baseline", ps[0].Name)
@@ -139,13 +147,17 @@ func TestFacadePlatforms(t *testing.T) {
 	if _, err := PlatformNamed("bogus"); err == nil {
 		t.Fatal("unknown scenario should error")
 	}
-	// NewExperimentsFor carries the scenario's capacity protocol, not just
-	// its platform — big-pool differs from baseline only in that protocol.
+	// The Service's suite for a scenario carries its capacity protocol, not
+	// just its platform — big-pool differs from baseline only in that
+	// protocol.
 	bp, err := PlatformNamed("big-pool")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewExperimentsFor(bp)
+	s, err := svc.suite(bp.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Cfg != bp.Platform || s.Headline != bp.HeadlineFraction {
 		t.Errorf("suite headline = %v on %q, want %v on %q",
 			s.Headline, s.Cfg.Name, bp.HeadlineFraction, bp.Platform.Name)

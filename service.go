@@ -11,21 +11,21 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/pool"
+	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/workloads/registry"
 )
 
 // Service is the unified facade of the library: one handle owning every
-// shared resource the free functions used to scatter — the per-platform
-// experiment suites with their warm profiler caches, the bounded worker
-// pool, the memoizing artifact store, and the single-flight sweep-campaign
-// memo. Every execution method is context-first: cancellation and
-// deadlines propagate through the whole engine (driver fan-outs, sweep
-// cells, Monte-Carlo runs) and take effect within one task boundary,
-// without leaking goroutines and without perturbing results — an
-// uncancelled run through the Service is byte-identical to the legacy
-// free-function path.
+// shared resource — the per-platform experiment suites with their warm
+// profiler caches, the bounded worker pool, the memoizing artifact store,
+// and the single-flight sweep-campaign memo. Every execution method is
+// context-first: cancellation and deadlines propagate through the whole
+// engine (driver fan-outs, sweep cells, Monte-Carlo runs) and take effect
+// within one task boundary, without leaking goroutines and without
+// perturbing results — an uncancelled run is byte-identical at any worker
+// count.
 //
 // A Service is safe for concurrent use: artifact computation serializes
 // through the store (the engine parallelizes internally), and sweep
@@ -44,7 +44,6 @@ type Service struct {
 	workers         int
 	runs            int
 	entries         []WorkloadEntry
-	cache           bool
 	logger          *log.Logger
 	loggerSet       bool
 
@@ -76,12 +75,8 @@ type Service struct {
 	jobs     *jobs.Manager
 
 	mu     sync.Mutex
-	suites map[string]*ExperimentSuite
-	// compute serializes uncached computation (WithCache(false)) — the
-	// role the store's computation slot plays on the cached path — as a
-	// one-slot semaphore so waiters can abandon on context death.
-	compute chan struct{}
-	store   *ArtifactStore
+	suites map[string]*experiments.Suite
+	store  *ArtifactStore
 }
 
 // Option configures a Service under construction (see New).
@@ -101,7 +96,7 @@ func WithWorkers(n int) Option {
 }
 
 // WithScenarios restricts (or extends) the platform scenarios the Service
-// serves; the default is the full registry (Platforms()). The first listed
+// serves; the default is the full scenario registry. The first listed
 // scenario becomes the default platform unless WithDefaultPlatform says
 // otherwise. Every spec must validate.
 func WithScenarios(scs ...Scenario) Option {
@@ -125,20 +120,6 @@ func WithScenarios(scs ...Scenario) Option {
 func WithDefaultPlatform(name string) Option {
 	return func(s *Service) error {
 		s.defaultPlatform = name
-		return nil
-	}
-}
-
-// WithCache switches the memoizing artifact store on the request paths
-// (Artifact, Rendered, the HTTP API). It is on by default: each (platform,
-// artifact) document computes once and each (platform, artifact, format)
-// renders once. WithCache(false) recomputes on every request — for
-// benchmarking and tests — while Store-mediated surfaces (WriteDir, seeded
-// RunAll output) still memoize. Sweep campaigns always memoize
-// single-flight on their suite regardless.
-func WithCache(on bool) Option {
-	return func(s *Service) error {
-		s.cache = on
 		return nil
 	}
 }
@@ -187,8 +168,7 @@ func New(opts ...Option) (*Service, error) {
 	s := &Service{
 		scenarios: scenario.All(),
 		workers:   1,
-		cache:     true,
-		suites:    map[string]*ExperimentSuite{},
+		suites:    map[string]*experiments.Suite{},
 	}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
@@ -211,14 +191,10 @@ func New(opts ...Option) (*Service, error) {
 			return nil, fmt.Errorf("repro: New: warm platform: %w", err)
 		}
 	}
-	if s.warm && !s.cache {
-		return nil, fmt.Errorf("repro: New: WithWarm requires the artifact cache (WithCache(false) recomputes every request)")
-	}
 	s.ready.Store(!s.warm)
 	s.limiter = pool.NewLimiter(s.workers)
 	s.profCache = core.NewSharedCache()
-	s.compute = make(chan struct{}, 1)
-	s.store = NewArtifactStore(s.source)
+	s.store = report.NewStore(s.source)
 	if s.jobStore == nil {
 		s.jobStore = jobs.NewMemStore()
 	}
@@ -232,28 +208,6 @@ func New(opts ...Option) (*Service, error) {
 	}
 	s.jobs = mgr
 	return s, nil
-}
-
-// defaultService backs the legacy package-level free functions: a Service
-// on the registry scenarios with the historical defaults (sequential, the
-// paper's run counts and workload table).
-var (
-	defaultOnce    sync.Once
-	defaultService *Service
-)
-
-// Default returns the package-level default Service the legacy free
-// functions delegate to: registry scenarios, "baseline" default platform,
-// one worker, caching on. It is built lazily, once.
-func Default() *Service {
-	defaultOnce.Do(func() {
-		var err error
-		defaultService, err = New()
-		if err != nil {
-			panic(err) // unreachable: the defaults validate
-		}
-	})
-	return defaultService
 }
 
 // Scenarios returns the platform scenarios this Service serves, registry
@@ -302,7 +256,7 @@ func (s *Service) platform(name string) (Scenario, error) {
 // suite returns the Service's memoized experiment suite for a scenario
 // name, building it on first use with the Service's worker budget, run
 // count and workload table installed.
-func (s *Service) suite(name string) (*ExperimentSuite, error) {
+func (s *Service) suite(name string) (*experiments.Suite, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if su, ok := s.suites[name]; ok {
@@ -378,52 +332,21 @@ func (s *Service) resolve(req ArtifactRequest) (platform, artifact string, err e
 // is done the computation stops at its next task boundary and Artifact
 // returns ctx.Err(); a caller waiting behind another computation abandons
 // the wait immediately. An uncancelled document is byte-identical (through
-// every renderer) to the legacy free-function path.
+// every renderer) at any worker count.
 func (s *Service) Artifact(ctx context.Context, req ArtifactRequest) (Doc, error) {
 	platform, artifact, err := s.resolve(req)
 	if err != nil {
 		return Doc{}, err
 	}
-	if !s.cache {
-		return s.computeUncached(ctx, platform, artifact)
-	}
 	return s.store.Doc(ctx, platform, artifact)
 }
 
-// computeUncached is the WithCache(false) document path: serialized like
-// the store's — including the context-aware wait, so a cancelled caller
-// abandons immediately instead of queueing behind a long computation —
-// and never memoized.
-func (s *Service) computeUncached(ctx context.Context, platform, artifact string) (Doc, error) {
-	select {
-	case s.compute <- struct{}{}:
-		defer func() { <-s.compute }()
-	case <-ctx.Done():
-		return Doc{}, ctx.Err()
-	}
-	d, err := s.source(ctx, platform, artifact)
-	if err != nil {
-		return Doc{}, err
-	}
-	if d.Platform == "" {
-		d.Platform = platform
-	}
-	return d, nil
-}
-
 // Rendered returns one artifact rendered in one format, render-once
-// memoized alongside the document (unless WithCache(false)).
+// memoized alongside the document.
 func (s *Service) Rendered(ctx context.Context, req ArtifactRequest, f ArtifactFormat) (string, error) {
 	platform, artifact, err := s.resolve(req)
 	if err != nil {
 		return "", err
-	}
-	if !s.cache {
-		d, err := s.computeUncached(ctx, platform, artifact)
-		if err != nil {
-			return "", err
-		}
-		return RenderArtifact(d, f)
 	}
 	return s.store.Artifact(ctx, platform, artifact, f)
 }

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 func TestNewOptionValidation(t *testing.T) {
@@ -50,7 +53,7 @@ func TestServiceEnumerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(svc.Scenarios()), len(Platforms()); got != want {
+	if got, want := len(svc.Scenarios()), len(scenario.All()); got != want {
 		t.Errorf("Scenarios() = %d entries, want %d", got, want)
 	}
 	if got, want := len(svc.Workloads()), 6; got != want {
@@ -68,8 +71,8 @@ func TestServiceEnumerations(t *testing.T) {
 
 // TestServiceArtifactMatchesLegacy is the facade's byte-identity
 // guarantee on the cheap data-backed artifacts: the Service path renders
-// exactly what the legacy suite path renders, and figure aliases
-// canonicalize transparently at the library surface.
+// exactly what a bare sequential suite (experiments.Suite.Run) renders,
+// and figure aliases canonicalize transparently at the library surface.
 func TestServiceArtifactMatchesLegacy(t *testing.T) {
 	svc, err := New()
 	if err != nil {
@@ -77,7 +80,7 @@ func TestServiceArtifactMatchesLegacy(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, id := range []string{"figure1", "table1"} {
-		legacy, err := NewExperiments(DefaultPlatform()).Run(id)
+		ref, err := experiments.NewSuite(DefaultPlatform()).Run(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +88,9 @@ func TestServiceArtifactMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != legacy.Render() {
-			t.Errorf("%s: Service render differs from legacy path (%d vs %d bytes)",
-				id, len(got), len(legacy.Render()))
+		if got != ref.Render() {
+			t.Errorf("%s: Service render differs from the suite path (%d vs %d bytes)",
+				id, len(got), len(ref.Render()))
 		}
 	}
 	// Alias request: canonicalized, same document, stamped platform.
@@ -107,8 +110,8 @@ func TestServiceArtifactMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestServiceCachePolicy checks WithCache: on by default (one compute per
-// document), recompute-per-request when off.
+// TestServiceCachePolicy checks the request paths memoize: repeated
+// requests compute each document once and render each format once.
 func TestServiceCachePolicy(t *testing.T) {
 	ctx := context.Background()
 	svc, err := New()
@@ -122,16 +125,6 @@ func TestServiceCachePolicy(t *testing.T) {
 	}
 	if docs, renders := svc.Store().Cached(); docs != 1 || renders != 1 {
 		t.Errorf("cached docs=%d renders=%d after two requests, want 1 and 1", docs, renders)
-	}
-	uncached, err := New(WithCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := uncached.Rendered(ctx, ArtifactRequest{Artifact: "table1"}, FormatText); err != nil {
-		t.Fatal(err)
-	}
-	if docs, renders := uncached.Store().Cached(); docs != 0 || renders != 0 {
-		t.Errorf("WithCache(false) memoized: docs=%d renders=%d", docs, renders)
 	}
 }
 
@@ -259,8 +252,8 @@ func TestServiceCancellation(t *testing.T) {
 }
 
 // TestServiceHandlerEndToEnd drives the real /v1 surface over a real
-// Service on the cheap artifacts: negotiation, envelope, health and the
-// deprecated aliases, exactly as `memdis serve` mounts them.
+// Service on the cheap artifacts: negotiation, envelope and health, exactly
+// as `memdis serve` mounts them.
 func TestServiceHandlerEndToEnd(t *testing.T) {
 	svc, err := New(WithLogger(nil))
 	if err != nil {
@@ -291,9 +284,9 @@ func TestServiceHandlerEndToEnd(t *testing.T) {
 	if err != nil || d.Artifact != "figure1" || d.Platform != "baseline" {
 		t.Errorf("served document: %+v, %v", d, err)
 	}
-	// The legacy alias serves the identical bytes.
-	if code, legacy := body("/artifacts/figure1.json"); code != 200 || legacy != b {
-		t.Errorf("legacy alias differs from /v1 (%d, %d vs %d bytes)", code, len(legacy), len(b))
+	// The pre-/v1 URL is off the route table: the envelope 404.
+	if code, b := body("/artifacts/figure1.json"); code != 404 || !strings.Contains(b, `"status": 404`) || !strings.Contains(b, "no such route") {
+		t.Errorf("pre-/v1 artifact URL = %d %q, want the envelope 404", code, b)
 	}
 	if code, b := body("/v1/artifacts/fig1"); code != 404 || !strings.Contains(b, "figure1") {
 		t.Errorf("alias over /v1 = %d %q, want 404 pointing at figure1", code, b)
@@ -308,7 +301,7 @@ func TestServiceHandlerEndToEnd(t *testing.T) {
 
 // TestServiceGoldenArtifacts is the acceptance criterion of the facade:
 // every committed golden artifact, served through the Service path, is
-// byte-identical to the file the legacy suite path generated. Full tier
+// byte-identical to the file the suite path generated. Full tier
 // only (the quick tier pins the data-backed subset via
 // TestServiceArtifactMatchesLegacy).
 func TestServiceGoldenArtifacts(t *testing.T) {
@@ -337,22 +330,5 @@ func TestServiceGoldenArtifacts(t *testing.T) {
 					id, len(got), len(want))
 			}
 		})
-	}
-}
-
-// TestDefaultServiceBacksWrappers checks the legacy free functions
-// delegate to the package-level default Service.
-func TestDefaultServiceBacksWrappers(t *testing.T) {
-	if got, want := len(Platforms()), len(Default().Scenarios()); got != want {
-		t.Errorf("Platforms() = %d, Default().Scenarios() = %d", got, want)
-	}
-	if got, want := len(Workloads()), len(Default().Workloads()); got != want {
-		t.Errorf("Workloads() = %d, Default().Workloads() = %d", got, want)
-	}
-	if got, want := len(ExperimentIDs()), len(Default().IDs()); got != want {
-		t.Errorf("ExperimentIDs() = %d, Default().IDs() = %d", got, want)
-	}
-	if Default() != Default() {
-		t.Error("Default must return one shared service")
 	}
 }

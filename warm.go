@@ -13,8 +13,7 @@ import (
 // not-Ready until that completes. `memdis serve -warm` and /healthz's
 // "ready" field ride on this: a cold pod behind a load balancer is kept out
 // of rotation until its caches hold every artifact it advertises. Every
-// named scenario must be one of the Service's; WithWarm is incompatible
-// with WithCache(false).
+// named scenario must be one of the Service's.
 func WithWarm(platforms ...string) Option {
 	return func(s *Service) error {
 		s.warm = true

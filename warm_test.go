@@ -217,14 +217,10 @@ func TestWarmRetryAfterFailure(t *testing.T) {
 }
 
 // TestWarmOptionValidation pins the constructor contract: warm platforms
-// must name registered scenarios, and warming a cache-less service is a
-// configuration error, not a silent no-op.
+// must name registered scenarios.
 func TestWarmOptionValidation(t *testing.T) {
 	if _, err := New(WithWarm("vapor")); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("WithWarm(vapor) error = %v, want unknown scenario", err)
-	}
-	if _, err := New(WithWarm(), WithCache(false)); err == nil || !strings.Contains(err.Error(), "WithCache") {
-		t.Errorf("WithWarm+WithCache(false) error = %v, want the incompatibility", err)
 	}
 	// Without WithWarm the service is born ready and Warm is still usable
 	// as an explicit pre-computation call.
