@@ -135,7 +135,8 @@ type server struct {
 }
 
 // New builds the versioned API handler: the /v1 routes and /healthz behind
-// the middleware chain, with every other path answering the envelope 404.
+// the middleware chain, with every other path answering the envelope 404
+// whatever the method.
 // Data routes sit behind the conditional-request/gzip middleware;
 // /healthz, the indexes and /v1/stats stay uncacheable.
 func New(c Config) http.Handler {
@@ -147,9 +148,9 @@ func New(c Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", get(s.handleHealthz))
 	mux.Handle("/v1", get(s.handleIndex))
-	mux.Handle("/", get(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errNoRoute(r.URL.Path))
-	}))
+	})
 	mux.Handle("/v1/stats", get(s.handleStats))
 	mux.Handle("/v1/artifacts", get(s.handleArtifactIndex))
 	mux.Handle("/v1/artifacts/{id}", cacheable(m, get(s.handleArtifact)))

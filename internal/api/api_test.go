@@ -269,6 +269,10 @@ func TestErrorEnvelope(t *testing.T) {
 		{"root path", "/", "", 404, "no such route"},
 		{"pre-v1 artifact path", "/artifacts/figure9.json", "", 404, "no such route"},
 		{"pre-v1 sweep path", "/sweep", "", 404, "no such route"},
+		{"POST off the route table", "/bogus", http.MethodPost, 404, "no such route"},
+		{"DELETE off the route table", "/bogus", http.MethodDelete, 404, "no such route"},
+		{"POST to no such v1 route", "/v1/bogus", http.MethodPost, 404, "no such route"},
+		{"DELETE to no such v1 route", "/v1/bogus", http.MethodDelete, 404, "no such route"},
 		{"method not allowed", "/v1/artifacts/figure9", http.MethodPost, 405, "method POST not allowed"},
 	}
 	for _, tc := range cases {
@@ -277,9 +281,13 @@ func TestErrorEnvelope(t *testing.T) {
 			if method == "" {
 				method = http.MethodGet
 			}
-			code, ct, body, _ := fetch(t, srv, method, tc.path, "")
+			code, ct, body, hdr := fetch(t, srv, method, tc.path, "")
 			if code != tc.wantStatus {
 				t.Fatalf("%s %s = %d, want %d\n%s", method, tc.path, code, tc.wantStatus, body)
+			}
+			// Only a route that exists advertises the methods it takes.
+			if allow := hdr.Get("Allow"); (code == http.StatusMethodNotAllowed) != (allow != "") {
+				t.Errorf("%s %s: Allow header %q on a %d", method, tc.path, allow, code)
 			}
 			if ct != "application/json" {
 				t.Errorf("error content type %q, want application/json", ct)

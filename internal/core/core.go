@@ -84,9 +84,10 @@ func Run(cfg machine.Config, w workloads.Workload) *machine.Machine {
 
 // PeakUsage returns the workload's peak memory footprint on an unbounded
 // single-tier system — the quantity the paper's setup_waste protocol sizes
-// local capacity against. The run binds pages without simulating the
-// cache (machine.PeakFootprintOf), which gives the footprint of a full
-// execution at a fraction of its cost.
+// local capacity against. Unless an execution already recorded it
+// (Execute), the run binds pages without simulating the cache
+// (machine.PeakFootprintOf), which gives the footprint of a full execution
+// at a fraction of its cost.
 func (p *Profiler) PeakUsage(entry registry.Entry, scale int) uint64 {
 	key := execKeyFor(p.cfg, entry.Name, scale)
 	return cached(p.cache, p.cache.peak, key, func() uint64 {
@@ -94,16 +95,26 @@ func (p *Profiler) PeakUsage(entry registry.Entry, scale int) uint64 {
 	})
 }
 
+// Execute runs the workload once on the profiler's platform, records the
+// run's peak footprint as the workload's PeakUsage, so sizing a split
+// against it costs no footprint pass, and returns the machine and that
+// peak. The machine yields the run at any local capacity
+// (machine.SplitAt).
+func (p *Profiler) Execute(entry registry.Entry, scale int) (*machine.Machine, uint64) {
+	m := Run(p.cfg, entry.New(scale))
+	return m, cached(p.cache, p.cache.peak, execKeyFor(p.cfg, entry.Name, scale), m.PeakFootprint)
+}
+
 // ConfigForLocalFraction returns the platform config with the local tier
 // capped at fraction of the workload's peak usage (e.g. 0.25 for the
 // "25%-75%" configuration of Figures 9 and 10).
 func (p *Profiler) ConfigForLocalFraction(entry registry.Entry, scale int, fraction float64) machine.Config {
-	peak := p.PeakUsage(entry, scale)
-	capacity := uint64(fraction * float64(peak))
-	if capacity < p.cfg.Mem.PageSize {
-		capacity = p.cfg.Mem.PageSize
-	}
-	return p.cfg.WithLocalCapacity(capacity)
+	return p.cfg.WithLocalCapacity(p.localCapacity(p.PeakUsage(entry, scale), fraction))
+}
+
+// localCapacity is fraction of peak bytes, but never less than one page.
+func (p *Profiler) localCapacity(peak uint64, fraction float64) uint64 {
+	return max(uint64(fraction*float64(peak)), p.cfg.Mem.PageSize)
 }
 
 // ---------------------------------------------------------------------------
@@ -300,31 +311,30 @@ type Level2Report struct {
 
 // Level2 profiles the workload on a two-tier system with the local tier
 // sized to fraction of peak usage. Reports are memoized per (workload,
-// scale, fraction); treat the returned slices as read-only.
+// scale, fraction), with R_BW set per call from the platform's bandwidths;
+// treat the returned slices as read-only.
 func (p *Profiler) Level2(entry registry.Entry, scale int, localFraction float64) Level2Report {
-	key := l2Key{
-		exec:           execKeyFor(p.cfg, entry.Name, scale),
-		fraction:       localFraction,
-		localBandwidth: p.cfg.LocalBandwidth,
-		dataBandwidth:  p.cfg.Link.DataBandwidth,
-	}
-	return cached(p.cache, p.cache.l2, key, func() Level2Report {
+	key := l2Key{exec: execKeyFor(p.cfg, entry.Name, scale), fraction: localFraction}
+	rep := cached(p.cache, p.cache.l2, key, func() Level2Report {
 		return p.level2(entry, scale, localFraction)
 	})
+	rep.RBW = p.cfg.BandwidthRatio()
+	return rep
 }
 
+// level2 executes the workload once on the base platform and splits the
+// run at the fraction of the peak footprint that run reached.
 func (p *Profiler) level2(entry registry.Entry, scale int, localFraction float64) Level2Report {
-	cfg := p.ConfigForLocalFraction(entry, scale, localFraction)
-	m := Run(cfg, entry.New(scale))
+	m, peak := p.Execute(entry, scale)
+	phases, regions := m.SplitAt(p.localCapacity(peak, localFraction))
 	rep := Level2Report{
 		Workload:      entry.Name,
 		Scale:         scale,
 		LocalFraction: localFraction,
 		RCap:          1 - localFraction,
-		RBW:           cfg.BandwidthRatio(),
-		Regions:       m.Space.PerRegion(),
+		Regions:       regions,
 	}
-	for _, ph := range m.Phases() {
+	for _, ph := range phases {
 		rep.Phases = append(rep.Phases, Level2Phase{
 			Name:                ph.Name,
 			RemoteAccessRatio:   ph.RemoteAccessRatio,

@@ -48,8 +48,8 @@ func TestProfilerConcurrentCallersShareOneExecution(t *testing.T) {
 		t.Fatalf("%d concurrent callers saw a report differing from the sequential profiler", n)
 	}
 
-	// The caches hold exactly one entry per distinct key. Level2 computes
-	// the peak via ConfigForLocalFraction, so the peak map has one entry too.
+	// The caches hold exactly one entry per distinct key. Level2's
+	// execution records the peak, so the peak map has one entry too.
 	p.cache.mu.Lock()
 	defer p.cache.mu.Unlock()
 	if len(p.cache.l2) != 1 || len(p.cache.peak) != 1 {

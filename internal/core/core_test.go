@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/scenario"
+	"repro/internal/workloads"
 	"repro/internal/workloads/registry"
 )
 
@@ -250,6 +251,70 @@ func TestPeakUsageMatchesExecution(t *testing.T) {
 						e.Name, scale, v.cfg.Name, v.cfg.Cache.PrefetchEnabled, v.cfg.Mem.LocalCapacity, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestLevel2ExecutesOnce pins a cold Level-2 report to one execution: the
+// workload is built once, for the run that both gives the peak footprint
+// and is split at the fraction, and the peak that run recorded serves a
+// later PeakUsage as a cache hit.
+func TestLevel2ExecutesOnce(t *testing.T) {
+	e := entry(t, "Hypre")
+	built := 0
+	counted := e
+	counted.New = func(scale int) workloads.Workload {
+		built++
+		return e.New(scale)
+	}
+	p := NewProfiler(machine.Default())
+	p.Level2(counted, 1, 0.5)
+	if built != 1 {
+		t.Errorf("cold Level2 built the workload %d times, want 1", built)
+	}
+	before := p.Cache().Stats()
+	p.PeakUsage(counted, 1)
+	after := p.Cache().Stats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || built != 1 {
+		t.Errorf("PeakUsage after Level2: hits %d -> %d, misses %d -> %d, %d builds; want one hit, no miss, no build",
+			before.Hits, after.Hits, before.Misses, after.Misses, built)
+	}
+}
+
+// TestSplitMonotoneInCapacity checks the model's capacity invariants on one
+// execution per registry workload, split at 19 fractions of its peak
+// footprint (0.05 to 0.95): as the local tier grows, no phase's remote
+// bytes, remote access ratio or remote capacity ratio rises, and no live
+// region loses local pages.
+func TestSplitMonotoneInCapacity(t *testing.T) {
+	p := NewProfiler(machine.Default())
+	for _, e := range registry.All() {
+		m, peak := p.Execute(e, 1)
+		var prev []machine.PhaseStats
+		prevLocal := map[int]int{}
+		for i := 1; i <= 19; i++ {
+			f := float64(i) * 0.05
+			phases, regions := m.SplitAt(p.localCapacity(peak, f))
+			for k, ph := range phases {
+				if prev == nil {
+					continue
+				}
+				q := prev[k]
+				if ph.RemoteBytes > q.RemoteBytes || ph.RemoteAccessRatio > q.RemoteAccessRatio ||
+					ph.RemoteCapacityRatio > q.RemoteCapacityRatio {
+					t.Errorf("%s %s: at %.2f of peak remote bytes %d, access ratio %v, capacity ratio %v; up from %d, %v, %v",
+						e.Name, ph.Name, f, ph.RemoteBytes, ph.RemoteAccessRatio, ph.RemoteCapacityRatio,
+						q.RemoteBytes, q.RemoteAccessRatio, q.RemoteCapacityRatio)
+				}
+			}
+			for _, rs := range regions {
+				if rs.LocalPages < prevLocal[rs.Region.ID] {
+					t.Errorf("%s region %s: %d local pages at %.2f of peak, down from %d",
+						e.Name, rs.Region.Name, rs.LocalPages, f, prevLocal[rs.Region.ID])
+				}
+				prevLocal[rs.Region.ID] = rs.LocalPages
+			}
+			prev = phases
 		}
 	}
 }

@@ -57,17 +57,15 @@ type l1Key struct {
 	streamDemandPenalty float64
 }
 
-// l2Key identifies a Level-2 report. Level 2 reports execution data only —
-// no modeled times — so beyond the capacity-capped execution (derived from
-// the full base memory geometry, since local capacity is sized against the
-// peak footprint measured there, plus the fraction) it reads just the two
-// bandwidths that form R_BW. Link latency, generation slopes, and peak
-// traffic are absent: cells stepping those axes share Level-2 entries.
+// l2Key identifies a Level-2 report: one execution on the base memory
+// geometry, split at the fraction of the peak footprint that run reached.
+// Level 2 reports execution data only — no modeled times — and R_BW, the
+// one platform ratio it carries, is set per call (Profiler.Level2), so no
+// link or node timing field is a key field: cells stepping any link axis
+// share Level-2 entries.
 type l2Key struct {
-	exec           execKey
-	fraction       float64
-	localBandwidth float64
-	dataBandwidth  float64
+	exec     execKey
+	fraction float64
 }
 
 // rooflineKey identifies a roofline model: the three ceilings and nothing

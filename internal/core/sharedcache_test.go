@@ -32,9 +32,10 @@ func profileAll(p *Profiler, e registry.Entry) {
 
 // TestLinkAxisSharing pins the dependency-key contract for a link axis:
 // two platforms differing only in link generation (bandwidth, latency,
-// overhead) share the peak-usage, Level-1 and scaling-curve entries —
-// none of those sub-results can read the link — but compute their own
-// Level-2 and roofline entries, which read the link's data bandwidth.
+// overhead) share the peak-usage, Level-1, scaling-curve and Level-2
+// entries — none of those executions can read the link, and Level 2 sets
+// the one link-dependent value it reports, R_BW, per call — but compute
+// their own roofline entries, which read the link's data bandwidth.
 func TestLinkAxisSharing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives full profiles on two platforms; the full tier covers it")
@@ -57,8 +58,8 @@ func TestLinkAxisSharing(t *testing.T) {
 		t.Errorf("link-only platform change grew link-independent levels: peak %d->%d, l1 %d->%d, curve %d->%d",
 			before.peak, after.peak, before.l1, after.l1, before.curve, after.curve)
 	}
-	if after.l2 != before.l2+1 {
-		t.Errorf("l2 entries %d -> %d, want +1: Level-2 reads the link's data bandwidth", before.l2, after.l2)
+	if after.l2 != before.l2 {
+		t.Errorf("l2 entries %d -> %d, want unchanged: the link reaches Level 2 only through R_BW", before.l2, after.l2)
 	}
 	if after.roofline != before.roofline+1 {
 		t.Errorf("roofline entries %d -> %d, want +1: the roofline reads the link's data bandwidth", before.roofline, after.roofline)
@@ -70,6 +71,15 @@ func TestLinkAxisSharing(t *testing.T) {
 	}
 	if pa.PeakUsage(e, 1) != pb.PeakUsage(e, 1) {
 		t.Error("peak usage differs across link-only platform variants")
+	}
+	// The two Level-2 reports differ in R_BW and nothing else.
+	la, lb := pa.Level2(e, 1, 0.5), pb.Level2(e, 1, 0.5)
+	if la.RBW != base.BandwidthRatio() || lb.RBW != alt.BandwidthRatio() || la.RBW == lb.RBW {
+		t.Errorf("R_BW %v and %v, want each platform's own %v and %v", la.RBW, lb.RBW, base.BandwidthRatio(), alt.BandwidthRatio())
+	}
+	lb.RBW = la.RBW
+	if !reflect.DeepEqual(la, lb) {
+		t.Error("Level-2 reports differ across link-only platform variants beyond R_BW")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/report"
@@ -59,33 +58,41 @@ func bfsEntry(v bfs.Variant) registry.Entry {
 // The capacity protocol follows the paper: the local tier is sized against
 // the baseline variant's peak usage in both cases, so the optimized variant
 // is measured on the identical machine rather than a machine resized to its
-// own (smaller) footprint.
+// own (smaller) footprint. Each variant executes once and is split at both
+// pooling levels; the baseline's execution records the peak both sizes
+// come from.
 func (s *Suite) Figure12() Figure12Result {
 	baseline := bfsEntry(bfs.Baseline)
 	pooleds := []float64{0.50, 0.75}
 	variants := []bfs.Variant{bfs.Baseline, bfs.ReorderOnly, bfs.Optimized}
-	cells := pool.Map(s.lim(), len(pooleds)*len(variants), func(i int) Figure12Cell {
-		pooled, v := pooleds[i/len(variants)], variants[i%len(variants)]
-		// The PeakUsage probe inside ConfigForLocalFraction is single-flight
-		// cached on ("BFS-baseline", scale), so all six cells share one
-		// baseline footprint execution.
-		cfg := s.Profiler.ConfigForLocalFraction(baseline, 1, 1-pooled)
-		m := runOn(cfg, bfsEntry(v), 1)
-		cell := Figure12Cell{PooledFraction: pooled, Variant: v}
-		var remote uint64
-		for _, ph := range m.Phases() {
-			remote += ph.RemoteBytes
-		}
-		cell.Runtime = cfg.RunTime(m.Phases(), 0)
-		cell.RemoteBytes = remote
-		if p2, ok := m.Phase("p2"); ok && p2.TotalBytes() > 0 {
-			cell.RemoteAccessRatio = float64(p2.RemoteBytes) / float64(p2.TotalBytes())
-		}
-		for _, loi := range LoILevels {
-			cell.Sensitivity = append(cell.Sensitivity, cfg.Sensitivity(m.Phases(), loi))
-		}
-		return cell
+	l := s.lim()
+	runs := pool.Map(l, len(variants), func(i int) *machine.Machine {
+		m, _ := s.Profiler.Execute(bfsEntry(variants[i]), 1)
+		return m
 	})
+	if l.Err() != nil {
+		// Abandoned before every variant ran; the caller discards the
+		// result.
+		return Figure12Result{LoIs: LoILevels}
+	}
+	var cells []Figure12Cell
+	for _, pooled := range pooleds {
+		cfg := s.Profiler.ConfigForLocalFraction(baseline, 1, 1-pooled)
+		for i, v := range variants {
+			phases, _ := runs[i].SplitAt(cfg.Mem.LocalCapacity)
+			cell := Figure12Cell{PooledFraction: pooled, Variant: v, Runtime: cfg.RunTime(phases, 0)}
+			for _, ph := range phases {
+				cell.RemoteBytes += ph.RemoteBytes
+				if ph.Name == "p2" && ph.TotalBytes() > 0 {
+					cell.RemoteAccessRatio = float64(ph.RemoteBytes) / float64(ph.TotalBytes())
+				}
+			}
+			for _, loi := range LoILevels {
+				cell.Sensitivity = append(cell.Sensitivity, cfg.Sensitivity(phases, loi))
+			}
+			cells = append(cells, cell)
+		}
+	}
 	return Figure12Result{LoIs: LoILevels, Cells: cells}
 }
 
@@ -203,8 +210,3 @@ func (r Figure13Result) Report() report.Doc {
 
 // Render implements Result.
 func (r Figure13Result) Render() string { return report.RenderText(r.Report()) }
-
-// runOn executes a fresh workload instance on the given config.
-func runOn(cfg machine.Config, e registry.Entry, scale int) *machine.Machine {
-	return core.Run(cfg, e.New(scale))
-}

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
 )
 
 func model() Model { return NewModel(machine.Default()) }
@@ -126,8 +125,11 @@ func TestBenchRunGeneratesRemoteTraffic(t *testing.T) {
 	if p.LocalBytes > p.RemoteBytes/10 {
 		t.Errorf("local bytes %d unexpectedly high vs remote %d", p.LocalBytes, p.RemoteBytes)
 	}
-	if tier, _ := m.Space.TierOf(0x1000); tier == mem.TierLocal {
-		_ = tier // placement checked via traffic above
+	_, regions := m.SplitAt(m.Config().Mem.LocalCapacity)
+	for _, rs := range regions {
+		if rs.Region.Name == "lbench-array" && (rs.LocalPages != 0 || rs.RemotePages == 0) {
+			t.Errorf("lbench array has %d local and %d remote pages, want all remote", rs.LocalPages, rs.RemotePages)
+		}
 	}
 	if p.Flops != float64(b.Elements*3*2) {
 		t.Errorf("flops = %v, want %v", p.Flops, b.Elements*3*2)

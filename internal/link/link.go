@@ -90,11 +90,9 @@ func (c Config) WithOverhead(x float64) Config {
 	return c
 }
 
-// Link is the contention model plus traffic accounting.
+// Link is the contention model.
 type Link struct {
 	cfg Config
-	// payloadBytes accumulates payload bytes moved since last reset.
-	payloadBytes uint64
 }
 
 // New returns a link with the given configuration.
@@ -104,15 +102,6 @@ func New(cfg Config) *Link {
 
 // Config returns the configuration with defaults applied.
 func (l *Link) Config() Config { return l.cfg }
-
-// AddPayload records payload bytes moved over the link.
-func (l *Link) AddPayload(n uint64) { l.payloadBytes += n }
-
-// PayloadBytes returns payload bytes moved since the last reset.
-func (l *Link) PayloadBytes() uint64 { return l.payloadBytes }
-
-// Reset clears traffic accounting.
-func (l *Link) Reset() { l.payloadBytes = 0 }
 
 // RawTraffic converts payload bytes (or bytes/s) to raw link traffic
 // including protocol overhead.

@@ -93,19 +93,6 @@ func TestRawTrafficOverhead(t *testing.T) {
 	}
 }
 
-func TestTrafficAccounting(t *testing.T) {
-	l := testLink()
-	l.AddPayload(1000)
-	l.AddPayload(500)
-	if got := l.PayloadBytes(); got != 1500 {
-		t.Errorf("payload = %d, want 1500", got)
-	}
-	l.Reset()
-	if got := l.PayloadBytes(); got != 0 {
-		t.Errorf("payload after reset = %d, want 0", got)
-	}
-}
-
 // Property: bandwidth share never exceeds demand, never exceeds data
 // bandwidth, is non-negative, and is monotone non-increasing in background
 // load.

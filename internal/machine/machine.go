@@ -10,6 +10,13 @@
 // experiments can re-evaluate a measured phase under any interference level
 // without re-running the workload. This mirrors how the paper first profiles
 // and then reasons analytically about deployment configurations.
+//
+// The same holds for the local capacity. The cache and the kernels never
+// read a tier, so the fill stream and the order of page binds and frees are
+// the same at every capacity. A machine counts each phase's line fills per
+// page and per fill reason, and SplitAt derives the statistics of a run at
+// any capacity from those counts and the placement of the binds and frees
+// (mem.Space.Place).
 package machine
 
 import (
@@ -136,9 +143,6 @@ type Tick struct {
 	LinesIn uint64
 	// Flops executed during the tick.
 	Flops float64
-	// LocalBytes/RemoteBytes moved during the tick.
-	LocalBytes  uint64
-	RemoteBytes uint64
 }
 
 // PhaseStats captures everything the timing model needs about one phase.
@@ -207,14 +211,15 @@ type Machine struct {
 	cfg   Config
 	Space *mem.Space
 	Cache *cache.Cache
-	Link  *link.Link
 
+	// phases are the closed phases at the config's local capacity; recs
+	// are their capacity-free records, and cur is the open phase's.
 	phases []PhaseStats
-	cur    *PhaseStats
+	recs   []*phaseRec
+	cur    *phaseRec
 
 	// Baselines for phase-delta accounting.
 	baseCache cache.Counters
-	fills     [cache.NumFillReasons][2]uint64 // [reason][tier] line fills in current phase
 	tickBase  tickSnapshot
 
 	flops     float64
@@ -227,14 +232,21 @@ type Machine struct {
 	hook Hook
 }
 
+// phaseRec is what a phase records independent of the local capacity: the
+// statistics no placement changes, the line fills of each page by fill
+// reason, and the position in the space's bind/free log at phase end.
+type phaseRec struct {
+	stats PhaseStats
+	fills [][cache.NumFillReasons]uint64 // by page number
+	mark  int
+}
+
 // SetHook installs an operation observer (nil to remove).
 func (m *Machine) SetHook(h Hook) { m.hook = h }
 
 type tickSnapshot struct {
-	linesIn     uint64
-	flops       float64
-	localBytes  uint64
-	remoteBytes uint64
+	linesIn uint64
+	flops   float64
 }
 
 // New builds a machine from cfg.
@@ -243,7 +255,6 @@ func New(cfg Config) *Machine {
 	m.Space = mem.NewSpace(cfg.Mem)
 	cfg.Cache.PageSize = m.Space.PageSize()
 	m.Cache = cache.New(cfg.Cache, m.onFill)
-	m.Link = link.New(cfg.Link)
 	return m
 }
 
@@ -251,10 +262,12 @@ func New(cfg Config) *Machine {
 func (m *Machine) Config() Config { return m.cfg }
 
 func (m *Machine) onFill(lineAddr uint64, reason cache.FillReason) {
-	tier := m.Space.Access(lineAddr, cache.LineSize)
-	m.fills[reason][tier]++
-	if tier == mem.TierRemote {
-		m.Link.AddPayload(cache.LineSize)
+	n := m.Space.Access(lineAddr, cache.LineSize)
+	if r := m.cur; r != nil {
+		if n >= len(r.fills) {
+			r.fills = append(r.fills, make([][cache.NumFillReasons]uint64, n+1-len(r.fills))...)
+		}
+		r.fills[n][reason]++
 	}
 }
 
@@ -353,23 +366,14 @@ func (m *Machine) StartPhase(name string) {
 	if m.hook != nil {
 		m.hook.OnPhase(name, true)
 	}
-	m.Space.ResetTraffic()
-	m.Link.Reset()
 	m.baseCache = m.Cache.Counters()
-	m.fills = [cache.NumFillReasons][2]uint64{}
 	m.flopsBase = m.flops
-	m.cur = &PhaseStats{Name: name}
+	m.cur = &phaseRec{stats: PhaseStats{Name: name}}
 	m.tickBase = m.snapshot()
 }
 
 func (m *Machine) snapshot() tickSnapshot {
-	c := m.Cache.Counters()
-	return tickSnapshot{
-		linesIn:     c.LinesIn,
-		flops:       m.flops,
-		localBytes:  m.Space.TierBytes(mem.TierLocal),
-		remoteBytes: m.Space.TierBytes(mem.TierRemote),
-	}
+	return tickSnapshot{linesIn: m.Cache.Counters().LinesIn, flops: m.flops}
 }
 
 // Tick closes one timeline bucket within the current phase.
@@ -381,11 +385,9 @@ func (m *Machine) Tick() {
 		m.hook.OnTick()
 	}
 	now := m.snapshot()
-	m.cur.Ticks = append(m.cur.Ticks, Tick{
-		LinesIn:     now.linesIn - m.tickBase.linesIn,
-		Flops:       now.flops - m.tickBase.flops,
-		LocalBytes:  now.localBytes - m.tickBase.localBytes,
-		RemoteBytes: now.remoteBytes - m.tickBase.remoteBytes,
+	m.cur.stats.Ticks = append(m.cur.stats.Ticks, Tick{
+		LinesIn: now.linesIn - m.tickBase.linesIn,
+		Flops:   now.flops - m.tickBase.flops,
 	})
 	m.tickBase = now
 }
@@ -396,10 +398,11 @@ func (m *Machine) EndPhase() PhaseStats {
 		panic("machine: EndPhase without StartPhase")
 	}
 	if m.hook != nil {
-		m.hook.OnPhase(m.cur.Name, false)
+		m.hook.OnPhase(m.cur.stats.Name, false)
 	}
-	p := m.cur
+	r := m.cur
 	m.cur = nil
+	p := &r.stats
 	c := m.Cache.Counters()
 	p.Cache = cache.Counters{
 		DemandAccesses:   c.DemandAccesses - m.baseCache.DemandAccesses,
@@ -412,21 +415,69 @@ func (m *Machine) EndPhase() PhaseStats {
 		DemandMissStream: c.DemandMissStream - m.baseCache.DemandMissStream,
 	}
 	p.Flops = m.flops - m.flopsBase
-	p.LocalBytes = m.Space.TierBytes(mem.TierLocal)
-	p.RemoteBytes = m.Space.TierBytes(mem.TierRemote)
-	p.DemandMissLocal = m.fills[cache.FillDemand][mem.TierLocal]
-	p.DemandMissRemote = m.fills[cache.FillDemand][mem.TierRemote]
-	p.StreamMissLocal = m.fills[cache.FillDemandStream][mem.TierLocal]
-	p.StreamMissRemote = m.fills[cache.FillDemandStream][mem.TierRemote]
-	p.RemoteAccessRatio = m.Space.RemoteAccessRatio()
-	p.RemoteCapacityRatio = m.Space.RemoteCapacityRatio()
 	p.FootprintBytes = m.Space.Footprint()
-	m.phases = append(m.phases, *p)
-	return *p
+	r.mark = m.Space.Mark()
+	m.recs = append(m.recs, r)
+	_, ps := m.split(m.cfg.Mem.LocalCapacity, len(m.recs)-1)
+	m.phases = append(m.phases, ps[0])
+	return ps[0]
 }
 
-// Phases returns the recorded phases in order.
+// Phases returns the recorded phases in order, at the config's local
+// capacity.
 func (m *Machine) Phases() []PhaseStats { return m.phases }
+
+// SplitAt derives the run's statistics at a local tier capacity of capacity
+// bytes (zero means unbounded): the closed phases and the per-region view
+// of the live regions, each equal to what the run would have recorded on a
+// machine whose config had that capacity. Phases is SplitAt at the config's
+// own capacity.
+func (m *Machine) SplitAt(capacity uint64) ([]PhaseStats, []mem.RegionStats) {
+	pl, phases := m.split(capacity, 0)
+	return phases, m.Space.PerRegion(pl)
+}
+
+// split places the space's log at capacity and derives the phases from
+// recs[first] on.
+func (m *Machine) split(capacity uint64, first int) (mem.Layout, []PhaseStats) {
+	recs := m.recs[first:]
+	marks := make([]int, len(recs))
+	for i, r := range recs {
+		marks[i] = r.mark
+	}
+	pl := m.Space.Place(capacity, marks)
+	phases := make([]PhaseStats, len(recs))
+	for i, r := range recs {
+		phases[i] = r.at(pl, pl.Resident[i])
+	}
+	return pl, phases
+}
+
+// at fills in the tier-dependent statistics of the phase under layout pl,
+// with res the tiers' resident bytes at phase end.
+func (r *phaseRec) at(pl mem.Layout, res mem.Resident) PhaseStats {
+	var fills [cache.NumFillReasons][2]uint64 // [reason][tier]
+	var lines [2]uint64                       // [tier]
+	for n, f := range r.fills {
+		t, _ := pl.Tier(n)
+		for reason, k := range f {
+			fills[reason][t] += k
+			lines[t] += k
+		}
+	}
+	p := r.stats
+	p.LocalBytes = lines[mem.TierLocal] * cache.LineSize
+	p.RemoteBytes = lines[mem.TierRemote] * cache.LineSize
+	p.DemandMissLocal = fills[cache.FillDemand][mem.TierLocal]
+	p.DemandMissRemote = fills[cache.FillDemand][mem.TierRemote]
+	p.StreamMissLocal = fills[cache.FillDemandStream][mem.TierLocal]
+	p.StreamMissRemote = fills[cache.FillDemandStream][mem.TierRemote]
+	if total := p.LocalBytes + p.RemoteBytes; total > 0 {
+		p.RemoteAccessRatio = float64(p.RemoteBytes) / float64(total)
+	}
+	p.RemoteCapacityRatio = res.RemoteCapacityRatio()
+	return p
+}
 
 // Phase returns the recorded phase with the given name, or false.
 func (m *Machine) Phase(name string) (PhaseStats, bool) {

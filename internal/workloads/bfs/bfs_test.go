@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
 )
 
 func small(variant Variant) *BFS {
@@ -126,7 +125,8 @@ func TestReorderPinsParentsLocally(t *testing.T) {
 	local := mp.PeakFootprint() / 4
 	m := machine.New(machine.Default().WithLocalCapacity(local))
 	b.Run(m)
-	for _, rs := range m.Space.PerRegion() {
+	_, regions := m.SplitAt(local)
+	for _, rs := range regions {
 		if rs.Region.Name == "Parents" && rs.RemotePages > 0 {
 			t.Errorf("Parents has %d remote pages in reorder-only variant", rs.RemotePages)
 		}
@@ -139,7 +139,8 @@ func TestScratchFreedOnlyInOptimized(t *testing.T) {
 		m := machine.New(machine.Default())
 		b.Run(m)
 		live := false
-		for _, rs := range m.Space.PerRegion() {
+		_, regions := m.SplitAt(0)
+		for _, rs := range regions {
 			if rs.Region.Name == "edge-scratch" {
 				live = true
 			}
@@ -203,7 +204,12 @@ func TestFreedScratchCapacityReused(t *testing.T) {
 	b.Run(m)
 	// After freeing the scratch, dynamic frontiers should have found local
 	// space: local tier should not be empty at end of run.
-	if m.Space.Used(mem.TierLocal) == 0 {
+	_, regions := m.SplitAt(local)
+	localPages := 0
+	for _, rs := range regions {
+		localPages += rs.LocalPages
+	}
+	if localPages == 0 {
 		t.Errorf("local tier unused despite freed scratch")
 	}
 }

@@ -18,6 +18,7 @@
 package xsbench
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/machine"
@@ -104,8 +105,15 @@ func (x *XSBench) Run(m *machine.Machine) {
 	unionVec.WriteRange(0, ug)
 
 	// Index grid: for every unionized point, the bracketing gridpoint
-	// index in every nuclide. This is the footprint giant.
-	index := workloads.NewIntVec(m, "index-grid", ug*nn)
+	// index in every nuclide. This is the footprint giant. The emulated
+	// grid holds int32 entries; every entry is below g, so the host copy
+	// holds them as uint16, half the host memory.
+	if g > 1<<16 {
+		panic(fmt.Sprintf("xsbench: %d gridpoints per nuclide overflow the uint16 index grid", g))
+	}
+	index := m.Alloc("index-grid", uint64(ug*nn)*4)
+	indexData := make([]uint16, ug*nn)
+	rowBytes := uint64(nn) * 4
 	cursors := make([]int, nn)
 	for u := 0; u < ug; u++ {
 		e := union[u]
@@ -114,9 +122,9 @@ func (x *XSBench) Run(m *machine.Machine) {
 			for cursors[n] < g-1 && nuclideEnergy[n][cursors[n]+1] < e {
 				cursors[n]++
 			}
-			index.Data[row+n] = int32(cursors[n])
+			indexData[row+n] = uint16(cursors[n])
 		}
-		index.WriteRange(row, nn)
+		m.Write(index.Base+uint64(row)*4, rowBytes)
 	}
 	m.EndPhase()
 
@@ -147,14 +155,14 @@ func (x *XSBench) Run(m *machine.Machine) {
 			u = ug - 1
 		}
 		// One index-grid row.
-		index.ReadRange(u*nn, nn)
+		m.Read(index.Base+uint64(u*nn)*4, rowBytes)
 		for c := range macro {
 			macro[c] = 0
 		}
 		// Gather the bracketing gridpoints from every nuclide and
 		// interpolate each channel.
 		for n := 0; n < nn; n++ {
-			gi := int(index.Data[u*nn+n])
+			gi := int(indexData[u*nn+n])
 			if gi >= g-1 {
 				gi = g - 2
 			}

@@ -88,7 +88,8 @@ func TestIndexGridDominatesFootprint(t *testing.T) {
 	m := machine.New(machine.Default())
 	x.Run(m)
 	var indexBytes, total uint64
-	for _, rs := range m.Space.PerRegion() {
+	_, regions := m.SplitAt(0)
+	for _, rs := range regions {
 		sz := rs.Region.Size
 		total += sz
 		if rs.Region.Name == "index-grid" {

@@ -48,7 +48,8 @@ func TestFacadeBFSVariantsAndPlacement(t *testing.T) {
 	if len(m.Phases()) != 2 {
 		t.Fatalf("BFS should record 2 phases, got %d", len(m.Phases()))
 	}
-	regions := SortRegionsHot(m.Space.PerRegion())
+	_, live := m.SplitAt(platform.Mem.LocalCapacity)
+	regions := SortRegionsHot(live)
 	objs := PlacementFromRegions(regions)
 	if len(objs) == 0 {
 		t.Fatal("profiled regions should yield placement candidates")
