@@ -47,7 +47,7 @@ func statusOf(err error) int {
 	case errors.As(err, &fe), errors.Is(err, sweep.ErrInvalid):
 		return http.StatusBadRequest
 	case errors.Is(err, scenario.ErrUnknown), errors.Is(err, experiments.ErrUnknownID),
-		errors.Is(err, jobs.ErrNotFound):
+		errors.Is(err, jobs.ErrNotFound), errors.Is(err, jobs.ErrUnknownArtifact):
 		return http.StatusNotFound
 	case errors.Is(err, jobs.ErrNotDone), errors.Is(err, jobs.ErrRecordModified):
 		return http.StatusConflict

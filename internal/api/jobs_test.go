@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -125,10 +126,11 @@ func TestJobRoutes(t *testing.T) {
 }
 
 // TestJobRouteErrors pins the error envelope across the job surface:
-// unknown ids are 404s, artifacts of unfinished jobs 409s, malformed
-// declarations 400s, and wrong methods 405s — all in the one envelope.
+// unknown ids and unknown artifacts are 404s, artifacts of unfinished jobs
+// 409s, malformed declarations 400s, and wrong methods 405s — all in the
+// one envelope.
 func TestJobRouteErrors(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv, backend := newTestServer(t)
 
 	st, _, b, _ := fetch(t, srv, http.MethodGet, "/v1/jobs/feedfeedfeedfeed", "")
 	envelope(t, b, st)
@@ -139,6 +141,22 @@ func TestJobRouteErrors(t *testing.T) {
 	envelope(t, b, st)
 	if st != http.StatusNotFound {
 		t.Errorf("DELETE unknown job = %d, want 404", st)
+	}
+
+	// An artifact name other than sweep and sensitivity is a 404 on a done
+	// job.
+	st, b, _ = postJob(t, srv, `{"axes":["gen=0,5"]}`)
+	var done jobs.Record
+	if err := json.Unmarshal([]byte(b), &done); err != nil || st != http.StatusAccepted {
+		t.Fatalf("POST job = %d: %s", st, b)
+	}
+	if rec, err := backend.manager().Wait(context.Background(), done.ID); err != nil || rec.State != jobs.StateDone {
+		t.Fatalf("job %s ended %s: %v", done.ID, rec.State, err)
+	}
+	st, _, b, _ = fetch(t, srv, http.MethodGet, "/v1/jobs/"+done.ID+"/artifacts/bogus", "")
+	envelope(t, b, st)
+	if st != http.StatusNotFound {
+		t.Errorf("GET unknown artifact of a done job = %d, want 404", st)
 	}
 
 	// Malformed declarations: bad JSON, bad axis, resume+declaration mix.

@@ -61,6 +61,10 @@ var ErrNotFound = errors.New("jobs: no such job")
 // the HTTP layer maps it to a 409.
 var ErrNotDone = errors.New("jobs: job is not done")
 
+// ErrUnknownArtifact marks an artifact read of a name other than sweep
+// and sensitivity; the HTTP layer maps it to a 404.
+var ErrUnknownArtifact = errors.New("jobs: unknown artifact")
+
 // ErrRecordModified marks a resume whose stored declaration no longer
 // hashes to the job id — the record was tampered with (or corrupted) at
 // rest, so it must never run. The HTTP layer maps it to a 409.

@@ -463,7 +463,7 @@ func (m *Manager) Artifact(id, artifact string, f report.Format) (string, error)
 		return "", err
 	}
 	if artifact != "sweep" && artifact != "sensitivity" {
-		return "", fmt.Errorf("jobs: unknown artifact %q (want sweep or sensitivity)", artifact)
+		return "", fmt.Errorf("%w %q (want sweep or sensitivity)", ErrUnknownArtifact, artifact)
 	}
 	if rec.State != StateDone {
 		return "", fmt.Errorf("jobs: job %s is %s: %w", id, rec.State, ErrNotDone)

@@ -21,7 +21,7 @@ var RequiredSurface = map[string][]string{
 		"WithJobStore", "WithJobDir", "NewDiskJobStore",
 		"Service.SubmitSweep", "Service.ResumeJob", "Service.CancelJob", "Service.WaitJob",
 		// Classification sentinels the HTTP envelope mapping depends on.
-		"ErrUnknownJob", "ErrJobNotDone", "ErrJobRecordModified",
+		"ErrUnknownJob", "ErrJobNotDone", "ErrUnknownJobArtifact", "ErrJobRecordModified",
 		// Warming surface (warm.go) and HTTP mount (http.go).
 		"WithWarm", "Service.StartWarm", "Service.Ready", "Service.Handler",
 	},

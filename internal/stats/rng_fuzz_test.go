@@ -5,9 +5,11 @@ import "testing"
 // FuzzStreamSplit fuzzes the substream derivation invariants the whole
 // concurrent experiment engine rests on:
 //
-//   - Split(n)[i] is exactly Stream(i), for every i — the two derivation
-//     paths must agree so sequential and parallel sweeps see the same
-//     substreams;
+//   - the table-driven LongJump lands on exactly the state the jump
+//     polynomial does, from the fuzzed base state;
+//   - Substreams(n)[i] is exactly Stream(i), for every i — the two
+//     derivation paths must agree so sequential and parallel sweeps see
+//     the same substreams;
 //   - re-deriving Stream(i) yields the same stream (derivation is a pure
 //     function of base state and index, and never advances the base);
 //   - distinct substreams do not collide on their opening draws (the jump
@@ -26,15 +28,22 @@ func FuzzStreamSplit(f *testing.F) {
 		base := NewRNG(seed)
 		baseState := *base
 
-		split := NewRNG(seed).Split(n)
-		if len(split) != n {
-			t.Fatalf("Split(%d) returned %d streams", n, len(split))
+		table, poly := *base, *base
+		table.LongJump()
+		poly.applyJump(longJumpPoly)
+		if table != poly {
+			t.Fatalf("seed %#x: table long jump %#x, polynomial %#x", seed, table.s, poly.s)
+		}
+
+		subs := NewRNG(seed).Substreams(n)
+		if len(subs) != n {
+			t.Fatalf("Substreams(%d) returned %d streams", n, len(subs))
 		}
 		for i := 0; i < n; i++ {
-			a, b := base.Stream(i), split[i]
+			a, b := base.Stream(i), &subs[i]
 			for k := 0; k < 4; k++ {
 				if av, bv := a.Uint64(), b.Uint64(); av != bv {
-					t.Fatalf("seed %#x: Stream(%d) draw %d = %#x, Split[%d] = %#x",
+					t.Fatalf("seed %#x: Stream(%d) draw %d = %#x, Substreams[%d] = %#x",
 						seed, i, k, av, i, bv)
 				}
 			}
@@ -58,7 +67,7 @@ func FuzzStreamSplit(f *testing.F) {
 		// 2^192 steps from its neighbours; any equality is a derivation bug,
 		// not chance.
 		seen := map[uint64]int{NewRNG(seed).Uint64(): -1}
-		for j, r := range NewRNG(seed).Split(n) {
+		for j, r := range NewRNG(seed).Substreams(n) {
 			v := r.Uint64()
 			if prev, dup := seen[v]; dup {
 				t.Fatalf("seed %#x: streams %d and %d opened with the same draw %#x",

@@ -54,6 +54,9 @@ var (
 	// ErrJobNotDone matches an artifact read from a job that has not
 	// completed.
 	ErrJobNotDone = jobs.ErrNotDone
+	// ErrUnknownJobArtifact matches a job artifact read of a name other
+	// than "sweep" and "sensitivity".
+	ErrUnknownJobArtifact = jobs.ErrUnknownArtifact
 	// ErrJobRecordModified matches a resume whose stored declaration no
 	// longer hashes to the job id — a tampered or corrupted record that
 	// must never run. The HTTP layer serves it as a 409 conflict.
@@ -171,7 +174,8 @@ func (s *Service) JobEvents(id string) ([]byte, error) { return s.jobs.Events(id
 
 // JobArtifact returns a done job's rendered artifact — "sweep" or
 // "sensitivity" — in the given format, straight from the store. Reads
-// from a job that has not completed match ErrJobNotDone.
+// from a job that has not completed match ErrJobNotDone, and any other
+// artifact name matches ErrUnknownJobArtifact.
 func (s *Service) JobArtifact(id, artifact string, f ArtifactFormat) (string, error) {
 	return s.jobs.Artifact(id, artifact, f)
 }
