@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/machine"
 	"repro/internal/pool"
 )
 
@@ -28,7 +29,7 @@ var benchWorkers = flag.Int("j", 1, "worker-pool width for experiment drivers (0
 // that it rendered a non-empty artifact.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	s := experiments.Default()
+	s := experiments.NewSuite(machine.Default())
 	s.Runs = 100 // the paper's Figure 13 protocol
 	s.Workers = pool.Workers(*benchWorkers)
 	b.ReportAllocs()

@@ -57,10 +57,12 @@ func (b serviceBackend) JobArtifact(id, artifact string, f report.Format) (strin
 // negotiation, and a middleware chain (request logging via WithLogger,
 // panic recovery, conditional requests with strong ETags and
 // If-None-Match 304s, Accept-Encoding gzip, single-flight coalescing of
-// concurrent cache-miss renders). Every other path answers the envelope
-// 404. /healthz reports the WithWarm readiness state. Artifact computation
-// is bounded by each request's context, but a coalesced render survives
-// until its last waiting client disconnects.
+// concurrent cache-miss renders, and a memo that hashes and gzips each
+// artifact and sweep representation once). Every other path answers the
+// envelope 404. /healthz reports the WithWarm readiness state. Artifact
+// computation is bounded by each request's context, but a coalesced
+// render survives until its last waiting client disconnects. Each call
+// builds a new handler with its own counters and memo.
 func (s *Service) Handler() http.Handler {
 	logger := s.logger
 	if !s.loggerSet {

@@ -1,8 +1,9 @@
 // Package api is the versioned HTTP surface of the reproduction service:
 // one mux, one JSON error envelope, one content-negotiation rule, one
 // caching policy and one middleware chain (request logging, panic
-// recovery, conditional requests, gzip, request coalescing) over every
-// route. Paths outside the routes below answer the envelope 404.
+// recovery, request counting) over every route, and one writer for every
+// cacheable response (conditional requests, gzip). Paths outside the
+// routes below answer the envelope 404.
 //
 // Routes (GET unless noted):
 //
@@ -26,7 +27,8 @@
 // Every data route accepts ?platform= (default: the backend's) and picks
 // its representation from ?format= (text, json, csv — txt accepted,
 // case-insensitive) or, absent that, the Accept header (application/json,
-// text/csv, text/plain; unrecognized types fall back to text).
+// text/csv, text/plain; members with q=0 and unrecognized types are
+// skipped, and text is the fallback).
 //
 // Serving semantics: documents are immutable per (platform, artifact,
 // seed, code version), so every successful data response carries a strong
@@ -34,7 +36,9 @@
 // Vary: Accept, Accept-Encoding; If-None-Match revalidations are an
 // empty-body 304, gzip is negotiated via Accept-Encoding, and N
 // concurrent cache-miss requests for one (platform, artifact, format)
-// coalesce into a single render. Error envelopes are never cacheable.
+// coalesce into a single render. An artifact or sweep representation is
+// hashed and gzipped once, by that render, and memoized: warm 304s and
+// gzip hits call no backend. Error envelopes are never cacheable.
 //
 // Errors — unknown artifact or platform (404), alias ids (404, pointing
 // at the canonical id), malformed formats or axes and oversized grids
@@ -126,19 +130,23 @@ type Config struct {
 }
 
 // server is the built API: the configuration plus the shared serving
-// state every handler needs — the counter set and the render-coalescing
-// flight group.
+// state every handler needs — the counter set and the render-coalescing,
+// representation-memoizing flight group — and the middleware chain that
+// serves it.
 type server struct {
 	cfg     Config
 	metrics *Metrics
 	flights *flightGroup
+	handler http.Handler
 }
+
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // New builds the versioned API handler: the /v1 routes and /healthz behind
 // the middleware chain, with every other path answering the envelope 404
 // whatever the method.
-// Data routes sit behind the conditional-request/gzip middleware;
-// /healthz, the indexes and /v1/stats stay uncacheable.
+// Data routes answer through writeRep, the conditional-request/gzip
+// writer; /healthz, the indexes and /v1/stats stay uncacheable.
 func New(c Config) http.Handler {
 	m := c.Metrics
 	if m == nil {
@@ -153,10 +161,10 @@ func New(c Config) http.Handler {
 	})
 	mux.Handle("/v1/stats", get(s.handleStats))
 	mux.Handle("/v1/artifacts", get(s.handleArtifactIndex))
-	mux.Handle("/v1/artifacts/{id}", cacheable(m, get(s.handleArtifact)))
-	mux.Handle("/v1/platforms", cacheable(m, get(s.handlePlatforms)))
-	mux.Handle("/v1/workloads", cacheable(m, get(s.handleWorkloads)))
-	mux.Handle("/v1/sweep", cacheable(m, get(s.handleSweep)))
+	mux.Handle("/v1/artifacts/{id}", get(s.handleArtifact))
+	mux.Handle("/v1/platforms", get(s.handlePlatforms))
+	mux.Handle("/v1/workloads", get(s.handleWorkloads))
+	mux.Handle("/v1/sweep", get(s.handleSweep))
 	mux.Handle("/v1/jobs", methods(map[string]http.HandlerFunc{
 		http.MethodGet:  s.handleJobs,
 		http.MethodPost: s.handleJobSubmit,
@@ -166,8 +174,9 @@ func New(c Config) http.Handler {
 		http.MethodDelete: s.handleJobCancel,
 	}))
 	mux.Handle("/v1/jobs/{id}/events", get(s.handleJobEvents))
-	mux.Handle("/v1/jobs/{id}/artifacts/{artifact}", cacheable(m, get(s.handleJobArtifact)))
-	return logging(c.Logger, recovery(counted(m, mux)))
+	mux.Handle("/v1/jobs/{id}/artifacts/{artifact}", get(s.handleJobArtifact))
+	s.handler = logging(c.Logger, recovery(counted(m, mux)))
+	return s
 }
 
 // handleHealthz is the health probe: always 200 while the process serves
@@ -253,11 +262,12 @@ func (s *server) handleArtifactIndex(w http.ResponseWriter, r *http.Request) {
 
 // handleArtifact serves one rendered artifact. Only canonical ids name
 // /v1 resources: a figure alias is a 404 whose message points at the
-// canonical id, so every document is served from exactly one URL. The
-// render itself goes through the coalescing flight group: concurrent
-// cache-miss requests for one (platform, artifact, format) trigger one
-// backend render, and the computation survives any single client's
-// disconnect as long as another is still waiting.
+// canonical id, so every document is served from exactly one URL. A cold
+// render goes through the coalescing flight group: concurrent cache-miss
+// requests for one (platform, artifact, format) trigger one backend
+// render, and the computation survives any single client's disconnect as
+// long as another is still waiting. A warm 304 or gzip request is answered
+// from the memoized representation alone.
 func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	f, err := negotiate(r)
 	if err != nil {
@@ -282,14 +292,32 @@ func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		keyPlatform = s.cfg.Backend.DefaultPlatform()
 	}
 	key := flightKey{platform: keyPlatform, artifact: canon, format: f}
-	out, err := s.flights.Do(r.Context(), key, func(ctx context.Context) (string, error) {
+	render := func(ctx context.Context) (string, error) {
 		return s.cfg.Backend.Rendered(ctx, platform, canon, f)
-	})
-	if err != nil {
-		writeStatusError(w, err)
-		return
 	}
-	writeRendered(w, f, out)
+	rp, warm := s.flights.cached(key)
+	if warm && wantsBody(r, rp) {
+		// A warm identity 200 writes the store's own string. When the
+		// store's document changed since the entry was derived (a
+		// Store().Put), the entry is rebuilt from the new string, so a new
+		// body never goes out under an old tag.
+		out, err := render(r.Context())
+		if err != nil {
+			writeStatusError(w, err)
+			return
+		}
+		if out != rp.body {
+			warm = false
+			render = func(context.Context) (string, error) { return out, nil }
+		}
+	}
+	if !warm {
+		if rp, err = s.flights.Do(r.Context(), key, render); err != nil {
+			writeStatusError(w, err)
+			return
+		}
+	}
+	s.writeRep(w, r, f, rp)
 }
 
 // handlePlatforms serves the scenario table as a negotiated document.
@@ -314,7 +342,7 @@ func (s *server) serveDoc(w http.ResponseWriter, r *http.Request, d report.Doc) 
 		writeStatusError(w, err)
 		return
 	}
-	writeRendered(w, f, out)
+	s.writeRep(w, r, f, rep{body: out, stem: etagStem(out)})
 }
 
 // handleSweep executes a sweep campaign: each axis= parameter is one
@@ -368,7 +396,14 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// value list key identically), so N cache-miss queries for one
 	// campaign view trigger one execution and one render.
 	key := flightKey{platform: platform, artifact: artifact, grid: g.Key(), format: f}
-	out, err := s.flights.Do(r.Context(), key, func(ctx context.Context) (string, error) {
+	rp, warm := s.flights.cached(key)
+	if warm && !wantsBody(r, rp) {
+		s.writeRep(w, r, f, rp)
+		return
+	}
+	// A sweep entry keeps no body, so an identity 200 re-renders the
+	// campaign the backend memoizes.
+	rp, err = s.flights.Do(r.Context(), key, func(ctx context.Context) (string, error) {
 		camp, err := s.cfg.Backend.Sweep(ctx, g)
 		if err != nil {
 			return "", err
@@ -390,11 +425,5 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeStatusError(w, err)
 		return
 	}
-	writeRendered(w, f, out)
-}
-
-// writeRendered emits a successful rendering with its media type.
-func writeRendered(w http.ResponseWriter, f report.Format, out string) {
-	w.Header().Set("Content-Type", report.ContentType(f))
-	_, _ = w.Write([]byte(out))
+	s.writeRep(w, r, f, rp)
 }

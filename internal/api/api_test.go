@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/report"
@@ -26,7 +28,7 @@ import (
 // (pinning the recovery middleware). Jobs run through a real manager over
 // an in-memory store, so the job routes serve real lifecycle behavior.
 type stubBackend struct {
-	sweeps   int
+	sweeps   atomic.Int32
 	jobsOnce sync.Once
 	jobs     *jobs.Manager
 }
@@ -97,12 +99,17 @@ func (b *stubBackend) Grid(platform string, axes ...sweep.Axis) (sweep.Grid, err
 	return sweep.Grid{Base: sp, Axes: axes}, nil
 }
 
+// stubProfiles is the profile cache every stub campaign shares, so a cell
+// some earlier request already profiled costs a lookup instead of a
+// workload execution. Campaign bytes are the same either way.
+var stubProfiles = core.NewSharedCache()
+
 func (b *stubBackend) Sweep(ctx context.Context, g sweep.Grid) (*sweep.Campaign, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	b.sweeps++
-	r := &sweep.Runner{Grid: g, Entries: registry.All()[:1], Runs: 2}
+	b.sweeps.Add(1)
+	r := &sweep.Runner{Grid: g, Entries: registry.All()[:1], Runs: 2, Cache: stubProfiles}
 	return r.RunContext(ctx, nil)
 }
 
@@ -180,6 +187,9 @@ func TestRoutesAndFormats(t *testing.T) {
 		{"artifact csv accept", "/v1/artifacts/figure9", "text/csv", 200, "text/csv; charset=utf-8"},
 		{"artifact accept q-params", "/v1/artifacts/figure9", "text/csv;q=0.9, application/xml", 200, "text/csv; charset=utf-8"},
 		{"artifact unknown accept falls back", "/v1/artifacts/figure9", "application/xml", 200, "text/plain; charset=utf-8"},
+		{"artifact accept q=0 skips a type", "/v1/artifacts/figure9", "application/json;q=0, text/csv", 200, "text/csv; charset=utf-8"},
+		{"artifact accept q=0 after other params", "/v1/artifacts/figure9", "text/csv;charset=utf-8;q=0.0, application/json", 200, "application/json"},
+		{"artifact accept every type refused falls back", "/v1/artifacts/figure9", "application/json; Q=0", 200, "text/plain; charset=utf-8"},
 		{"artifact explicit platform", "/v1/artifacts/figure9?platform=cxl-gen5", "", 200, "text/plain; charset=utf-8"},
 		{"platforms text", "/v1/platforms", "", 200, "text/plain; charset=utf-8"},
 		{"platforms json", "/v1/platforms?format=json", "", 200, "application/json"},
@@ -190,6 +200,7 @@ func TestRoutesAndFormats(t *testing.T) {
 		{"sweep text", "/v1/sweep", "", 200, "text/plain; charset=utf-8"},
 		{"sweep sensitivity json", "/v1/sweep?artifact=sensitivity&format=json", "", 200, "application/json"},
 		{"sweep custom axis csv", "/v1/sweep?axis=frac=0.5&format=csv", "", 200, "text/csv; charset=utf-8"},
+		{"sweep accept q=0 skips a type", "/v1/sweep", "text/csv;q=0, application/json", 200, "application/json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,18 +328,38 @@ func TestFormatErrorListsFormats(t *testing.T) {
 	}
 }
 
-// TestSweepMemoSeam checks the handler passes the grid through the backend
-// untouched (the memo seam the service hangs campaigns on): two identical
-// requests reach Sweep twice here because the stub does not memoize, but
-// both succeed and carry the same grid key.
+// TestSweepMemoSeam pins where each memo lives. Campaign execution and its
+// memo stay in the service, behind Backend.Sweep, which the stub does not
+// memoize: a memoized /v1/sweep representation keeps only its ETag stem and
+// gzip bytes, so every identity request still reaches Sweep. Warm gzip and
+// 304 requests are answered from the representation and reach it zero
+// times.
 func TestSweepMemoSeam(t *testing.T) {
 	srv, b := newTestServer(t)
+	var etag string
 	for i := 0; i < 2; i++ {
-		if code, _, body, _ := fetch(t, srv, http.MethodGet, "/v1/sweep", ""); code != 200 {
+		code, body, hdr := fetchHdr(t, srv, "/v1/sweep", identity)
+		if code != 200 {
 			t.Fatalf("sweep run %d = %d\n%s", i, code, body)
 		}
+		if i > 0 && hdr.Get("ETag") != etag {
+			t.Errorf("identity ETag drifted: %q then %q", etag, hdr.Get("ETag"))
+		}
+		etag = hdr.Get("ETag")
 	}
-	if b.sweeps != 2 {
-		t.Errorf("stub saw %d sweep executions, want 2 (memoization lives in the service, not the handler)", b.sweeps)
+	if n := b.sweeps.Load(); n != 2 {
+		t.Errorf("stub saw %d sweep executions for 2 identity requests, want 2 (campaign memoization lives in the service, not the handler)", n)
+	}
+	for _, hdr := range []map[string]string{
+		{"Accept-Encoding": "gzip"},
+		{"Accept-Encoding": "identity", "If-None-Match": etag},
+		{"Accept-Encoding": "gzip", "If-None-Match": etag},
+	} {
+		if code, _, _ := fetchHdr(t, srv, "/v1/sweep", hdr); code != 200 && code != 304 {
+			t.Fatalf("warm sweep request %v = %d", hdr, code)
+		}
+	}
+	if n := b.sweeps.Load(); n != 2 {
+		t.Errorf("stub saw %d sweep executions after warm gzip and 304 requests, want still 2", n)
 	}
 }

@@ -1,15 +1,16 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/experiments"
 	"repro/internal/report"
 )
 
@@ -20,13 +21,21 @@ import (
 // may get.
 const cacheControl = "public, max-age=86400"
 
+// maxSweepReps bounds the memoized /v1/sweep representations. Their grids
+// are request-controlled, so the memo keeps no more than the campaigns the
+// service itself memoizes can produce: experiments.MaxCampaigns grids, each
+// in both views (sweep, sensitivity) and all three formats. An entry is an
+// ETag stem plus gzip bytes (about 2 KB for an 8-cell grid), never the
+// identity body.
+const maxSweepReps = experiments.MaxCampaigns * 2 * 3
+
 // etagStem is the strong-validator stem of a response body: the first 16
 // hex digits of its SHA-256. The identity representation serves `"<stem>"`,
 // the gzip representation `"<stem>-gzip"` — per-representation tags, as the
 // ETag contract requires, that still revalidate against each other (a
 // client that cached either encoding gets its 304).
-func etagStem(body []byte) string {
-	sum := sha256.Sum256(body)
+func etagStem(body string) string {
+	sum := sha256.Sum256([]byte(body))
 	return hex.EncodeToString(sum[:8])
 }
 
@@ -56,79 +65,57 @@ func inmMatches(header, stem string) bool {
 	return false
 }
 
-// bufferedResponse captures a handler's response so the conditional layer
-// can hash, revalidate and compress it before anything reaches the wire.
-type bufferedResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
+// rep is one successful representation of a cacheable response: the
+// identity body, its ETag stem and its gzip encoding. A nil gz means the
+// encoding has not been derived; writeRep then compresses on demand.
+type rep struct {
+	body string
+	stem string
+	gz   []byte
 }
 
-func (b *bufferedResponse) Header() http.Header { return b.header }
+// wantsBody reports whether answering r needs rp's identity body: only an
+// identity 200 does, since a 304 carries no body and a gzip 200 carries
+// the gzip bytes.
+func wantsBody(r *http.Request, rp rep) bool {
+	return !acceptsGzip(r) && !inmMatches(r.Header.Get("If-None-Match"), rp.stem)
+}
 
-func (b *bufferedResponse) WriteHeader(status int) {
-	if b.status == 0 {
-		b.status = status
+// writeRep is the one writer every cacheable route ends in: it stamps
+// the strong ETag, Cache-Control and Vary, answers a matching
+// If-None-Match with an empty-body 304, and otherwise writes the
+// negotiated encoding with its media type and Content-Length. Failures
+// never reach it — error envelopes and 405s go out through writeError,
+// uncacheable (Cache-Control: no-store, never a validator) — so no two
+// routes can drift in caching semantics.
+func (s *server) writeRep(w http.ResponseWriter, r *http.Request, f report.Format, rp rep) {
+	h := w.Header()
+	gz := acceptsGzip(r)
+	h.Set("ETag", etagFor(rp.stem, gz))
+	h.Set("Cache-Control", cacheControl)
+	// The representation depends on both negotiation inputs: Accept picks
+	// the format, Accept-Encoding the encoding.
+	h.Set("Vary", "Accept, Accept-Encoding")
+	if inmMatches(r.Header.Get("If-None-Match"), rp.stem) {
+		s.metrics.NotModified.Add(1)
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.status == 0 {
-		b.status = http.StatusOK
+	h.Set("Content-Type", report.ContentType(f))
+	if !gz {
+		h.Set("Content-Length", strconv.Itoa(len(rp.body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = io.WriteString(w, rp.body)
+		return
 	}
-	return b.body.Write(p)
-}
-
-// cacheable is the conditional-request middleware: it buffers the wrapped
-// handler's response and, on a 200, stamps the strong ETag, Cache-Control
-// and Vary, answers a matching If-None-Match with an empty-body 304, and
-// gzips the body when the client negotiated it. Everything else — error
-// envelopes, 405s — passes through uncacheable (Cache-Control: no-store,
-// never a validator). Every /v1 data route mounts behind this one
-// middleware, so no two routes can drift in caching semantics.
-func cacheable(m *Metrics, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		br := &bufferedResponse{header: http.Header{}}
-		h.ServeHTTP(br, r)
-		if br.status == 0 {
-			br.status = http.StatusOK
-		}
-		dst := w.Header()
-		for k, vs := range br.header {
-			dst[k] = vs
-		}
-		if br.status != http.StatusOK {
-			if dst.Get("Cache-Control") == "" {
-				dst.Set("Cache-Control", "no-store")
-			}
-			w.WriteHeader(br.status)
-			_, _ = w.Write(br.body.Bytes())
-			return
-		}
-		body := br.body.Bytes()
-		stem := etagStem(body)
-		gz := acceptsGzip(r)
-		dst.Set("ETag", etagFor(stem, gz))
-		dst.Set("Cache-Control", cacheControl)
-		// The representation depends on both negotiation inputs: Accept
-		// picks the format, Accept-Encoding the encoding.
-		dst.Set("Vary", "Accept, Accept-Encoding")
-		if inmMatches(r.Header.Get("If-None-Match"), stem) {
-			m.NotModified.Add(1)
-			dst.Del("Content-Type")
-			dst.Del("Content-Length")
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if gz {
-			body = gzipBytes(body)
-			dst.Set("Content-Encoding", "gzip")
-			m.Gzipped.Add(1)
-		}
-		dst.Set("Content-Length", strconv.Itoa(len(body)))
-		w.WriteHeader(br.status)
-		_, _ = w.Write(body)
-	})
+	if rp.gz == nil {
+		rp.gz = gzipString(rp.body)
+	}
+	h.Set("Content-Encoding", "gzip")
+	h.Set("Content-Length", strconv.Itoa(len(rp.gz)))
+	s.metrics.Gzipped.Add(1)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(rp.gz)
 }
 
 // flight is one in-progress render shared by every request that asked for
@@ -137,7 +124,7 @@ type flight struct {
 	refs     int
 	cancel   context.CancelFunc
 	done     chan struct{}
-	out      string
+	rep      rep
 	err      error
 	panicked any
 }
@@ -160,29 +147,45 @@ type flightKey struct {
 	format report.Format
 }
 
-// flightGroup coalesces concurrent cache-miss renders: the first request
-// for a key starts the render, later arrivals wait on the same flight, and
-// the underlying computation runs under a context that dies only when the
-// last waiter has gone — one caller disconnecting never poisons the result
-// for the rest. Results are not cached here (the store memoizes); a
-// completed flight leaves the map immediately.
+// flightGroup coalesces concurrent cache-miss renders and memoizes what
+// they produce. The first request for a key starts the render, later
+// arrivals wait on the same flight, and the underlying computation runs
+// under a context that dies only when the last waiter has gone — one
+// caller disconnecting never poisons the result for the rest. A
+// successful flight derives its representation's ETag stem and gzip bytes
+// once and keeps them as the key's entry, so a warm request answered from
+// that entry starts no flight and no goroutine and hashes and compresses
+// nothing. Errors and abandoned flights are never memoized.
 type flightGroup struct {
 	metrics *Metrics
 	mu      sync.Mutex
 	flights map[flightKey]*flight
+	// reps holds each key's last successful representation. A sweep entry
+	// (a key with a grid) keeps no body; sweeps lists those keys oldest
+	// first, and the oldest is evicted past maxSweepReps.
+	reps   map[flightKey]rep
+	sweeps []flightKey
 }
 
 func newFlightGroup(m *Metrics) *flightGroup {
-	return &flightGroup{metrics: m, flights: map[flightKey]*flight{}}
+	return &flightGroup{metrics: m, flights: map[flightKey]*flight{}, reps: map[flightKey]rep{}}
 }
 
-// Do returns fn's result for key, executing it at most once across all
-// concurrent callers. A caller whose ctx dies returns ctx.Err()
-// immediately; the flight itself is cancelled (and evicted, so later
-// requests start fresh) only when no caller remains. A panic inside fn
-// re-panics in every waiting caller, keeping the recovery middleware's
-// one-envelope contract.
-func (g *flightGroup) Do(ctx context.Context, key flightKey, fn func(context.Context) (string, error)) (string, error) {
+// cached returns key's memoized representation, if there is one.
+func (g *flightGroup) cached(key flightKey) (rep, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	rp, ok := g.reps[key]
+	return rp, ok
+}
+
+// Do returns the representation of fn's result for key, executing fn at
+// most once across all concurrent callers and memoizing the result. A
+// caller whose ctx dies returns ctx.Err() immediately; the flight itself
+// is cancelled (and evicted, so later requests start fresh) only when no
+// caller remains. A panic inside fn re-panics in every waiting caller,
+// keeping the recovery middleware's one-envelope contract.
+func (g *flightGroup) Do(ctx context.Context, key flightKey, fn func(context.Context) (string, error)) (rep, error) {
 	g.mu.Lock()
 	f, ok := g.flights[key]
 	if ok {
@@ -209,7 +212,10 @@ func (g *flightGroup) Do(ctx context.Context, key flightKey, fn func(context.Con
 				cancel()
 				close(f.done)
 			}()
-			f.out, f.err = fn(fctx)
+			var out string
+			if out, f.err = fn(fctx); f.err == nil {
+				f.rep = g.memoize(key, out)
+			}
 		}()
 	}
 	g.mu.Unlock()
@@ -218,7 +224,7 @@ func (g *flightGroup) Do(ctx context.Context, key flightKey, fn func(context.Con
 		if f.panicked != nil {
 			panic(f.panicked)
 		}
-		return f.out, f.err
+		return f.rep, f.err
 	case <-ctx.Done():
 		g.mu.Lock()
 		f.refs--
@@ -231,6 +237,34 @@ func (g *flightGroup) Do(ctx context.Context, key flightKey, fn func(context.Con
 			}
 		}
 		g.mu.Unlock()
-		return "", ctx.Err()
+		return rep{}, ctx.Err()
 	}
+}
+
+// memoize derives the representation of a freshly rendered body and keeps
+// it as key's entry. A body that hashes to the entry's stem keeps the
+// entry's gzip bytes (a /v1/sweep identity request re-renders the same
+// campaign), so each distinct body is compressed once.
+func (g *flightGroup) memoize(key flightKey, body string) rep {
+	rp := rep{body: body, stem: etagStem(body)}
+	if old, ok := g.cached(key); ok && old.stem == rp.stem {
+		rp.gz = old.gz
+	} else {
+		rp.gz = gzipString(body)
+	}
+	kept := rp
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if key.grid != "" {
+		kept.body = ""
+		if _, ok := g.reps[key]; !ok {
+			if len(g.sweeps) == maxSweepReps {
+				delete(g.reps, g.sweeps[0])
+				g.sweeps = g.sweeps[1:]
+			}
+			g.sweeps = append(g.sweeps, key)
+		}
+	}
+	g.reps[key] = kept
+	return rp
 }

@@ -457,13 +457,13 @@ func TestFlightGroupWaiterCancel(t *testing.T) {
 	aCh := make(chan res, 1)
 	go func() {
 		out, err := g.Do(ctxA, flightKey{artifact: "k"}, fn)
-		aCh <- res{out, err}
+		aCh <- res{out.body, err}
 	}()
 	<-started
 	bCh := make(chan res, 1)
 	go func() {
 		out, err := g.Do(context.Background(), flightKey{artifact: "k"}, fn)
-		bCh <- res{out, err}
+		bCh <- res{out.body, err}
 	}()
 	waitFor(t, "second caller to join the flight", func() bool { return m.Coalesced.Load() == 1 })
 
@@ -518,7 +518,7 @@ func TestFlightGroupAbandonAndRetry(t *testing.T) {
 	out, err := g.Do(context.Background(), flightKey{artifact: "k"}, func(context.Context) (string, error) {
 		return "fresh", nil
 	})
-	if err != nil || out != "fresh" {
+	if err != nil || out.body != "fresh" {
 		t.Fatalf("retry after abandonment got (%q, %v), want a fresh render", out, err)
 	}
 	if m.Renders.Load() != 2 {

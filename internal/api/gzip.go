@@ -3,8 +3,8 @@ package api
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -19,26 +19,21 @@ func acceptsGzip(r *http.Request) bool {
 		coding, params, _ := strings.Cut(part, ";")
 		switch strings.ToLower(strings.TrimSpace(coding)) {
 		case "gzip", "x-gzip":
-			if v, ok := strings.CutPrefix(strings.ToLower(strings.ReplaceAll(params, " ", "")), "q="); ok {
-				if q, err := strconv.ParseFloat(v, 64); err == nil && q == 0 {
-					return false
-				}
-			}
-			return true
+			return !refused(params)
 		}
 	}
 	return false
 }
 
-// gzipBytes compresses a response body at the default level. Rendered
-// documents live in memory as strings already, so one extra in-memory copy
-// is the whole cost of negotiation.
-func gzipBytes(b []byte) []byte {
+// gzipString compresses a response body at the default level. The result
+// is trimmed to its length, since a memoized representation keeps it for
+// the life of the server.
+func gzipString(body string) []byte {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	_, _ = zw.Write(b)
+	_, _ = io.WriteString(zw, body)
 	_ = zw.Close()
-	return buf.Bytes()
+	return bytes.Clone(buf.Bytes())
 }
 
 // Metrics is the serving-layer counter set: every request, every render a
@@ -48,8 +43,10 @@ func gzipBytes(b []byte) []byte {
 type Metrics struct {
 	// Requests counts every request through the handler, any route.
 	Requests atomic.Int64
-	// Renders counts coalesced-flight executions (cache hits included —
-	// it is the number of times the backend render path ran un-shared).
+	// Renders counts coalesced-flight executions: cold misses, artifact
+	// entries rebuilt after the backend's document changed, and /v1/sweep
+	// identity 200s, which re-render because a sweep entry keeps no body.
+	// Warm requests served from the representation memo do not count.
 	Renders atomic.Int64
 	// Coalesced counts requests that joined an already-in-flight render
 	// instead of starting their own.

@@ -138,8 +138,8 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // handleJobArtifact is GET /v1/jobs/{id}/artifacts/{artifact}: a done
 // job's rendered sweep or sensitivity artifact in the negotiated format,
 // straight from the job store. A job still running answers 409. Done
-// artifacts are immutable, so this route mounts behind the conditional
-// caching middleware like the other data routes.
+// artifacts are immutable, so this route answers through writeRep like the
+// other data routes.
 func (s *server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 	f, err := negotiate(r)
 	if err != nil {
@@ -151,5 +151,5 @@ func (s *server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 		writeStatusError(w, err)
 		return
 	}
-	writeRendered(w, f, out)
+	s.writeRep(w, r, f, rep{body: out, stem: etagStem(out)})
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -63,6 +64,12 @@ type statusRecorder struct {
 func (sr *statusRecorder) WriteHeader(status int) {
 	sr.status = status
 	sr.ResponseWriter.WriteHeader(status)
+}
+
+// WriteString keeps io.WriteString's copy-free path to the connection, so
+// a memoized body is never copied into a []byte on its way out.
+func (sr *statusRecorder) WriteString(s string) (int, error) {
+	return io.WriteString(sr.ResponseWriter, s)
 }
 
 // logging emits one line per request — method, path+query, status,

@@ -196,9 +196,6 @@ func (s *Suite) lim() *pool.Limiter {
 	return pool.NewLimiter(s.workers())
 }
 
-// Default returns a suite on the default testbed-calibrated platform.
-func Default() *Suite { return NewSuite(machine.Default()) }
-
 // Result is the common interface of every experiment result.
 type Result interface {
 	// ID is the paper artifact name, e.g. "figure9".

@@ -42,14 +42,15 @@ type campaignEntry struct {
 	err  error
 }
 
-// maxCampaigns bounds the campaign memo. Grid keys are request-controlled
+// MaxCampaigns bounds the campaign memo. Grid keys are request-controlled
 // on the serve path (`GET /v1/sweep?axis=...`), and each memoized campaign
 // holds every cell of an executed grid — an unbounded map would let a
 // client grow server memory one query at a time (the same reason
 // report.Store refuses to memoize errors). When full, an arbitrary older
 // entry is evicted; eviction only costs recomputation, never changes
-// results.
-const maxCampaigns = 16
+// results. The HTTP layer bounds its memo of rendered sweep
+// representations by the same count.
+const MaxCampaigns = 16
 
 // RunSweepContext executes a campaign grid with the suite's workload
 // table, Monte-Carlo run count and concurrency budget, reusing the suite's
@@ -90,7 +91,7 @@ func (s *Suite) runSweepLocked(ctx context.Context, g sweep.Grid) (*sweep.Campai
 	}
 	e, ok := s.sweeps[key]
 	if !ok {
-		if len(s.sweeps) >= maxCampaigns {
+		if len(s.sweeps) >= MaxCampaigns {
 			// Arbitrary-victim eviction of a bounded memo: which entry is
 			// dropped affects only recompute cost, never rendered output.
 			//repro:allow determinism — memo eviction victim choice never reaches results

@@ -15,13 +15,14 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/machine"
 )
 
 // BenchmarkSuiteAllSequential regenerates all twelve artifacts one driver
 // at a time — the pre-engine `memdis all` behaviour.
 func BenchmarkSuiteAllSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := experiments.Default()
+		s := experiments.NewSuite(machine.Default())
 		if got := len(s.All()); got != len(experiments.IDs) {
 			b.Fatalf("rendered %d artifacts", got)
 		}
@@ -35,7 +36,7 @@ func BenchmarkSuiteAllParallel(b *testing.B) {
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := experiments.Default()
+				s := experiments.NewSuite(machine.Default())
 				rs, err := s.AllParallelContext(context.Background(), workers)
 				if err != nil {
 					b.Fatal(err)
@@ -52,7 +53,7 @@ func BenchmarkSuiteAllParallel(b *testing.B) {
 // 100 simulated runs per scheduler for one profiled workload, sequential
 // versus substream-parallel.
 func BenchmarkSchedulerRuns(b *testing.B) {
-	s := experiments.Default()
+	s := experiments.NewSuite(machine.Default())
 	entry := s.Entries[1] // Hypre: the paper's most scheduler-sensitive code
 	rep := s.Profiler.Level2(entry, 1, 0.50)
 	cfg := s.Profiler.ConfigForLocalFraction(entry, 1, 0.50)

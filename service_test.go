@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"compress/gzip"
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/report"
 	"repro/internal/scenario"
 )
 
@@ -330,5 +333,74 @@ func TestServiceGoldenArtifacts(t *testing.T) {
 					id, len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestHandlerFollowsStorePut checks that the HTTP layer's memoized
+// representations follow the store: once Store().Put replaces a document,
+// the next response carries the new body under a new ETag, the old tag no
+// longer revalidates, and the gzip variant serves the new bytes too.
+func TestHandlerFollowsStorePut(t *testing.T) {
+	svc, err := New(WithLogger(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	// Setting Accept-Encoding by hand keeps the transport from decoding
+	// gzip, so the test sees the bytes the server sent.
+	get := func(hdr map[string]string) (int, string, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/artifacts/figure9?format=json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r io.Reader = resp.Body
+		if resp.Header.Get("Content-Encoding") == "gzip" {
+			if r, err = gzip.NewReader(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("ETag"), string(b)
+	}
+	identity := map[string]string{"Accept-Encoding": "identity"}
+	gz := map[string]string{"Accept-Encoding": "gzip"}
+	put := func(text string) {
+		svc.Store().Put("baseline", *report.New("figure9").Append(report.NoteBlock(text)))
+	}
+
+	put("first document\n")
+	_, tag1, body1 := get(identity)
+	if _, gzTag, gzBody := get(gz); gzBody != body1 || gzTag != strings.TrimSuffix(tag1, `"`)+`-gzip"` {
+		t.Fatalf("gzip variant = %s %q, want %s-gzip over the identity body", gzTag, gzBody, tag1)
+	}
+	put("second document\n")
+	code, tag2, body2 := get(identity)
+	if code != 200 || body2 == body1 || !strings.Contains(body2, "second document") {
+		t.Fatalf("after Put: %d %q, want the second document", code, body2)
+	}
+	if tag2 == tag1 {
+		t.Fatalf("after Put the new body went out under the old ETag %s", tag1)
+	}
+	if _, gzTag, gzBody := get(gz); gzBody != body2 || gzTag != strings.TrimSuffix(tag2, `"`)+`-gzip"` {
+		t.Errorf("gzip variant after Put = %s %q, want %s-gzip over the new body", gzTag, gzBody, tag2)
+	}
+	if code, _, _ := get(map[string]string{"Accept-Encoding": "identity", "If-None-Match": tag1}); code != 200 {
+		t.Errorf("the replaced document's tag revalidated with %d, want a full 200", code)
+	}
+	if code, _, _ := get(map[string]string{"Accept-Encoding": "identity", "If-None-Match": tag2}); code != 304 {
+		t.Errorf("the current tag revalidated with %d, want 304", code)
 	}
 }
