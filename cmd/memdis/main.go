@@ -35,8 +35,8 @@
 // and /healthz flips its "ready" field once the warm completes — the
 // readiness signal a load balancer keys on. The serving layer itself adds
 // strong ETags with If-None-Match 304s, Cache-Control, gzip negotiation
-// and request coalescing on every artifact route; `sbench` (cmd/sbench)
-// is the companion load harness that measures it.
+// and request coalescing on every artifact route; perfbench's warm-http
+// workload measures it.
 //
 // The -j flag bounds the worker pool for both the experiment-level and the
 // intra-driver fan-out. Output is byte-identical for any -j value: every

@@ -198,8 +198,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleStats serves a snapshot of the serving counters — what the sbench
-// harness diffs around a load run.
+// handleStats serves a snapshot of the serving counters — what the CI
+// serving smoke and perfbench's warm-http workload read around their
+// requests.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	snap := s.metrics.Snapshot()

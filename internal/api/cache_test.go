@@ -246,8 +246,8 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 }
 
-// TestStatsRoute checks /v1/stats serves the counter snapshot the load
-// harness diffs: every key present, request counting live.
+// TestStatsRoute checks /v1/stats serves the counter snapshot perfbench's
+// warm-http diffs: every key present, request counting live.
 func TestStatsRoute(t *testing.T) {
 	m := &Metrics{}
 	srv := newMetricsServer(t, &stubBackend{}, m, nil)
@@ -271,7 +271,7 @@ func TestStatsRoute(t *testing.T) {
 }
 
 // TestStatsProfileCacheKeys checks the profile-cache hook merges into the
-// stats snapshot as flat int64 keys — the shape sbench and the CI smoke
+// stats snapshot as flat int64 keys — the shape perfbench and the CI smoke
 // decode — and that an unwired hook leaves the snapshot unchanged.
 func TestStatsProfileCacheKeys(t *testing.T) {
 	h := New(Config{

@@ -38,8 +38,9 @@ func gzipString(body string) []byte {
 
 // Metrics is the serving-layer counter set: every request, every render a
 // flight executed, every waiter a flight absorbed, every 304 and every
-// gzipped body. `GET /v1/stats` serves a snapshot, which is what the
-// sbench harness diffs around a load run.
+// gzipped body. `GET /v1/stats` serves a snapshot, which is what the CI
+// serving smoke and perfbench's warm-http workload read around their
+// requests.
 type Metrics struct {
 	// Requests counts every request through the handler, any route.
 	Requests atomic.Int64

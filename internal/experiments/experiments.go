@@ -52,8 +52,8 @@ type Suite struct {
 	// analyses run at (the paper's 50%-50% split by default; scenario
 	// suites install their HeadlineFraction). The contract is (0, 1)
 	// exclusive: values outside it fall back to the paper's 0.50 rather
-	// than producing a degenerate capacity split. NewSuiteFor rejects such
-	// specs up front instead of falling back silently.
+	// than producing a degenerate capacity split. NewSuiteForShared rejects
+	// such specs up front instead of falling back silently.
 	Headline float64
 	// Workers bounds the intra-driver fan-out over workloads, scales,
 	// capacity points and Monte-Carlo runs. Values <= 1 mean sequential.
@@ -126,24 +126,19 @@ func (s *Suite) acquireInvoke(ctx context.Context) error {
 // releaseInvoke frees the invocation slot.
 func (s *Suite) releaseInvoke() { <-s.invoke }
 
-// NewSuiteFor returns a suite on a scenario's platform with the scenario's
-// capacity sweep installed, so every driver reproduces the paper's protocol
-// on the alternate system.
+// NewSuiteForShared returns a suite on a scenario's platform with the
+// scenario's capacity sweep installed, so every driver reproduces the
+// paper's protocol on the alternate system, backed by the given shared
+// profile cache (a private cache when nil; see NewSuiteShared).
 //
 // The spec must be valid (scenario.Spec.Validate); in particular its
-// HeadlineFraction must lie in (0, 1) exclusive. NewSuiteFor panics on an
-// invalid spec: every registry scenario validates, so an invalid spec is a
-// caller construction bug, and rejecting it loudly here replaces the old
-// behavior of headline() silently substituting the paper's 0.50 split.
-func NewSuiteFor(sp scenario.Spec) *Suite {
-	return NewSuiteForShared(sp, nil)
-}
-
-// NewSuiteForShared is NewSuiteFor backed by the given shared profile cache
-// (a private cache when nil); see NewSuiteShared.
+// HeadlineFraction must lie in (0, 1) exclusive. NewSuiteForShared panics
+// on an invalid spec: every registry scenario validates, so an invalid spec
+// is a caller construction bug, and rejecting it loudly here replaces the
+// old behavior of headline() silently substituting the paper's 0.50 split.
 func NewSuiteForShared(sp scenario.Spec, c *core.SharedCache) *Suite {
 	if err := sp.Validate(); err != nil {
-		panic(fmt.Sprintf("experiments: NewSuiteFor: %v", err))
+		panic(fmt.Sprintf("experiments: NewSuiteForShared: %v", err))
 	}
 	s := NewSuiteShared(sp.Platform, c)
 	s.Fractions = append([]float64(nil), sp.CapacityFractions...)
@@ -162,9 +157,9 @@ func (s *Suite) fractions() []float64 {
 
 // headline returns the suite's headline capacity point (the paper's 50%-50%
 // split when unset). Out-of-range Headline values — anything outside (0, 1)
-// exclusive — take the same fallback as the zero value; NewSuiteFor rejects
-// them before they reach this silent clamp (see the Headline field contract,
-// pinned by TestHeadlineContract).
+// exclusive — take the same fallback as the zero value; NewSuiteForShared
+// rejects them before they reach this silent clamp (see the Headline field
+// contract, pinned by TestHeadlineContract).
 func (s *Suite) headline() float64 {
 	if s.Headline <= 0 || s.Headline >= 1 {
 		return 0.50

@@ -133,7 +133,7 @@ func TestGoldenFigure9OnCXLGen5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSuiteFor(sp)
+	s := NewSuiteForShared(sp, nil)
 	// Share the package suite's memoized cxl-gen5 profiler (same platform),
 	// so this golden rides on the profiling the scenario sweep already did.
 	s.Profiler = testSuite().profilerFor(sp)

@@ -85,7 +85,7 @@ func TestRendererRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := NewSuiteFor(sp)
+		sc := NewSuiteForShared(sp, nil)
 		sc.Profiler = testSuite().profilerFor(sp)
 		roundTrip(t, sc.Figure9(), "figure9@cxl-gen5")
 	})
@@ -114,8 +114,8 @@ func TestCanonicalID(t *testing.T) {
 
 // TestHeadlineContract pins the Headline field's documented contract: the
 // (0,1)-exclusive range is honored, anything outside it falls back to the
-// paper's 0.50 split, and NewSuiteFor rejects invalid specs loudly instead
-// of silently clamping.
+// paper's 0.50 split, and NewSuiteForShared rejects invalid specs loudly
+// instead of silently clamping.
 func TestHeadlineContract(t *testing.T) {
 	s := NewSuite(machine.Default())
 	for _, bad := range []float64{-0.5, 0, 1, 1.5} {
@@ -132,8 +132,8 @@ func TestHeadlineContract(t *testing.T) {
 	// Valid scenario specs construct fine and install their headline.
 	sp := scenario.Default()
 	sp.HeadlineFraction = 0.75
-	if got := NewSuiteFor(sp).headline(); got != 0.75 {
-		t.Errorf("NewSuiteFor installed headline %v, want 0.75", got)
+	if got := NewSuiteForShared(sp, nil).headline(); got != 0.75 {
+		t.Errorf("NewSuiteForShared installed headline %v, want 0.75", got)
 	}
 
 	// Out-of-range specs are a construction bug and panic with the
@@ -142,12 +142,12 @@ func TestHeadlineContract(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewSuiteFor with HeadlineFraction=%v should panic", bad)
+					t.Errorf("NewSuiteForShared with HeadlineFraction=%v should panic", bad)
 				}
 			}()
 			sp := scenario.Default()
 			sp.HeadlineFraction = bad
-			NewSuiteFor(sp)
+			NewSuiteForShared(sp, nil)
 		}()
 	}
 }

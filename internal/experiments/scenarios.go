@@ -83,8 +83,8 @@ func scenarioSeed(si, wi int) uint64 { return 4000 + uint64(si)*1000 + uint64(wi
 // scenario at its headline capacity split and assembles the side-by-side
 // comparison. The full per-scenario artifact set (Figure 9/10 panels over
 // the scenario's own capacity sweep) is available by running the suite on
-// that scenario via NewSuiteFor (the CLI's -platform flag); this driver is
-// the cross-platform summary.
+// that scenario via NewSuiteForShared (the CLI's -platform flag); this
+// driver is the cross-platform summary.
 //
 // The baseline scenario reuses the suite's shared profiler, so a composite
 // invocation such as `memdis all` pays nothing extra for it; every other

@@ -16,7 +16,7 @@ func TestNewSuiteForInstallsScenarioProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSuiteFor(sp)
+	s := NewSuiteForShared(sp, nil)
 	if s.headline() != sp.HeadlineFraction {
 		t.Errorf("headline = %v, want the scenario's %v", s.headline(), sp.HeadlineFraction)
 	}

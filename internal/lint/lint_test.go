@@ -219,7 +219,7 @@ func TestClassify(t *testing.T) {
 		{"repro/internal/report", KindLibrary | KindEngine},
 		{"repro/internal/api", KindLibrary},
 		{"repro/internal/jobs", KindLibrary},
-		{"repro/internal/sbench", KindLibrary},
+		{"repro/internal/lbench", KindLibrary},
 		{"repro/cmd/reprolint", KindMain},
 		{"repro/cmd/repro", KindMain},
 		{"repro/examples/quickstart", KindMain},

@@ -33,8 +33,8 @@ type Package struct {
 
 // enginePackages are the deterministic core: every package whose rendered
 // output must be byte-identical at any -j. Benchmark and serving packages
-// (sbench, lbench, swbench, jobs, api, trace) are deliberately absent —
-// they measure wall-clock time and manage detached lifecycles by design.
+// (lbench, jobs, api, trace) are deliberately absent — they measure
+// wall-clock time and manage detached lifecycles by design.
 var enginePackages = map[string]bool{
 	"repro/internal/core":        true,
 	"repro/internal/sched":       true,

@@ -70,9 +70,10 @@ type Runner struct {
 	// private cache — either way every cell of the campaign shares one.
 	Cache *core.SharedCache
 	// Isolated disables cross-cell sharing: each distinct platform gets a
-	// fully private cache, reproducing the pre-sharing behaviour. This is
-	// the benchmark baseline knob (cmd/swbench measures shared vs isolated)
-	// — results are byte-identical either way, only the work differs.
+	// fully private cache, reproducing the pre-sharing behaviour. It is the
+	// reference mode that TestIsolatedMatchesShared and
+	// BenchmarkSharedCampaign compare the shared mode against — results are
+	// byte-identical either way, only the work differs.
 	Isolated bool
 	// Progress, when set, is called after each finished cell with the
 	// number of completed and total cells (from the streaming aggregator;
