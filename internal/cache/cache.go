@@ -20,8 +20,18 @@
 // full set is the list's least recent end, found without a scan. The lines
 // an access touches share its clock; the list orders them by way, so the
 // victim among them is the lowest way, the choice of a scan for the oldest
-// timestamp that keeps the first of equal ones. The stream table keeps its
-// valid entries as a prefix for the same reason.
+// timestamp that keeps the first of equal ones.
+//
+// The stream table keeps the pages of its valid entries as a prefix array,
+// for the same reason as the sets: allocation takes the first free entry
+// and only Flush frees entries, all of them at once. A probe checks the
+// most recent entry first and then scans only those pages. The valid
+// entries are linked into a recency list, and every access moves exactly
+// one entry to its front, the one tracking the access's page or the one
+// allocated for it, so no two valid entries were last used at the same
+// clock. The list's tail is therefore the entry with the oldest timestamp,
+// the victim a scan would pick, and a full table replaces it without a
+// scan.
 package cache
 
 import "fmt"
@@ -157,14 +167,12 @@ const (
 	throttleHalfAcc = 0.60
 )
 
-// stream is one tracked prefetch stream.
+// stream is one tracked prefetch stream; its page is in Cache.pages.
 type stream struct {
-	page     uint64 // page index
-	lastLine uint64 // last line address observed
-	dir      int64  // +1 or -1
-	conf     int    // confidence: confirmations of the direction
-	lru      uint64
-	valid    bool
+	lastLine     uint64 // last line address observed
+	dir          int64  // +1 or -1
+	conf         int    // confidence: confirmations of the direction
+	older, newer int32  // neighbours in the recency list, -1 past its ends
 }
 
 // Cache is the L2 model. It is not safe for concurrent use; the emulated
@@ -179,11 +187,14 @@ type Cache struct {
 	lines []lineState // the rest of every line's state, set-major
 	sets  []setState
 
-	clock    uint64
-	streams  []stream
-	ctr      Counters
-	fill     func(lineAddr uint64, reason FillReason)
-	disabled bool // runtime prefetch disable (MSR write)
+	clock     uint64
+	streams   []stream
+	pages     []uint64 // page of each valid stream: the first len(pages) are valid
+	mruStream int32    // ends of the valid streams' recency list, -1 while empty
+	lruStream int32
+	ctr       Counters
+	fill      func(lineAddr uint64, reason FillReason)
+	disabled  bool // runtime prefetch disable (MSR write)
 
 	// Throttle state: accuracy over the last window of issued prefetches.
 	throttleLevel int // 0 = full degree, 1 = half, 2 = probe only
@@ -204,16 +215,19 @@ func New(cfg Config, fill func(lineAddr uint64, reason FillReason)) *Cache {
 		sets[i] = setState{lru: -1, mru: -1}
 	}
 	return &Cache{
-		cfg:      c,
-		ways:     int32(c.Ways),
-		nsets:    uint64(nsets),
-		lpp:      c.PageSize / LineSize,
-		tags:     make([]uint64, nsets*c.Ways),
-		lines:    make([]lineState, nsets*c.Ways),
-		sets:     sets,
-		streams:  make([]stream, c.PrefetchStreams),
-		fill:     fill,
-		disabled: !c.PrefetchEnabled,
+		cfg:       c,
+		ways:      int32(c.Ways),
+		nsets:     uint64(nsets),
+		lpp:       c.PageSize / LineSize,
+		tags:      make([]uint64, nsets*c.Ways),
+		lines:     make([]lineState, nsets*c.Ways),
+		sets:      sets,
+		streams:   make([]stream, c.PrefetchStreams),
+		pages:     make([]uint64, 0, c.PrefetchStreams),
+		mruStream: -1,
+		lruStream: -1,
+		fill:      fill,
+		disabled:  !c.PrefetchEnabled,
 	}
 }
 
@@ -240,9 +254,8 @@ func (c *Cache) Flush() {
 		}
 		*s = setState{lru: -1, mru: -1}
 	}
-	for i := range c.streams {
-		c.streams[i].valid = false
-	}
+	c.pages = c.pages[:0]
+	c.mruStream, c.lruStream = -1, -1
 }
 
 // Access performs one demand access to addr (byte address). The write flag
@@ -257,7 +270,7 @@ func (c *Cache) Access(addr uint64, write bool) {
 	// entry only for a page no entry tracks, so one probe serves both the
 	// prediction of a miss and the training that follows it.
 	page := la / c.lpp
-	st, victim := c.probe(page)
+	sti := c.probe(page)
 	si := c.setOf(la)
 	if i := c.find(si, la); i >= 0 {
 		c.ctr.DemandHits++
@@ -270,7 +283,7 @@ func (c *Cache) Access(addr uint64, write bool) {
 	} else {
 		c.ctr.DemandMisses++
 		reason := FillDemand
-		if st != nil && st.predicts(la, c.cfg.PrefetchDegree) {
+		if sti >= 0 && c.streams[sti].predicts(la, c.cfg.PrefetchDegree) {
 			reason = FillDemandStream
 			c.ctr.DemandMissStream++
 		}
@@ -281,8 +294,8 @@ func (c *Cache) Access(addr uint64, write bool) {
 	}
 	// Stream detection always trains (out-of-order execution exploits the
 	// same predictability); the MSR toggle only gates prefetch issue.
-	if st = c.train(st, victim, page, la); st != nil && !c.disabled {
-		c.issue(st, la)
+	if st := c.train(sti, page, la); st != nil && !c.disabled {
+		c.issue(st, page, la)
 	}
 }
 
@@ -401,38 +414,46 @@ func (c *Cache) unlink(s *setState, i int32) {
 	}
 }
 
-// probe returns the valid stream tracking page or, if none does, the
-// entry a new stream for page replaces: the first invalid entry, else the
-// least recently used. Valid entries form a prefix of the table, because
-// allocation takes the first invalid entry and only Flush invalidates, so
-// the scan ends at the first invalid entry.
-func (c *Cache) probe(page uint64) (st, victim *stream) {
-	victim = &c.streams[0]
-	for i := range c.streams {
-		e := &c.streams[i]
-		if !e.valid {
-			return nil, e
-		}
-		if e.page == page {
-			return e, nil
-		}
-		if e.lru < victim.lru {
-			victim = e
+// probe returns the index of the valid stream tracking page, or -1 if none
+// does. It checks the most recent stream first: consecutive accesses
+// mostly fall in one page.
+func (c *Cache) probe(page uint64) int32 {
+	if c.mruStream >= 0 && c.pages[c.mruStream] == page {
+		return c.mruStream
+	}
+	for i, p := range c.pages {
+		if p == page {
+			return int32(i)
 		}
 	}
-	return nil, victim
+	return -1
 }
 
-// train updates st, the stream tracking page (nil if none does), with a
+// train updates stream i, the one tracking page (-1 if none does), with a
 // demand access to line la of it and returns the stream (nil while its
-// direction is still unknown). Without a stream it allocates victim and
-// waits for a second access to establish direction.
-func (c *Cache) train(st, victim *stream, page, la uint64) *stream {
-	if st == nil {
-		*victim = stream{page: page, lastLine: la, dir: 0, conf: 0, lru: c.clock, valid: true}
+// direction is still unknown). Without a stream it allocates one for page,
+// in the first free entry or else in place of the least recent, and waits
+// for a second access to establish direction. Either way the stream it
+// trains becomes the most recent.
+func (c *Cache) train(i int32, page, la uint64) *stream {
+	if i < 0 {
+		if n := len(c.pages); n < cap(c.pages) {
+			i = int32(n)
+			c.pages = append(c.pages, page)
+		} else {
+			i = c.lruStream
+			c.unlinkStream(i)
+			c.pages[i] = page
+		}
+		c.streams[i] = stream{lastLine: la}
+		c.pushStream(i)
 		return nil
 	}
-	st.lru = c.clock
+	if i != c.mruStream {
+		c.unlinkStream(i)
+		c.pushStream(i)
+	}
+	st := &c.streams[i]
 	delta := int64(la) - int64(st.lastLine)
 	st.lastLine = la
 	if delta == 0 {
@@ -461,9 +482,36 @@ func (c *Cache) train(st, victim *stream, page, la uint64) *stream {
 	return st
 }
 
-// issue runs the streamer ahead of a trained stream, subject to the
-// accuracy throttle.
-func (c *Cache) issue(st *stream, la uint64) {
+// unlinkStream removes valid stream i from the recency list.
+func (c *Cache) unlinkStream(i int32) {
+	older, newer := c.streams[i].older, c.streams[i].newer
+	if older >= 0 {
+		c.streams[older].newer = newer
+	} else {
+		c.lruStream = newer
+	}
+	if newer >= 0 {
+		c.streams[newer].older = older
+	} else {
+		c.mruStream = older
+	}
+}
+
+// pushStream links unlinked stream i into the recency list as the most
+// recent.
+func (c *Cache) pushStream(i int32) {
+	c.streams[i].older, c.streams[i].newer = c.mruStream, -1
+	if c.mruStream >= 0 {
+		c.streams[c.mruStream].newer = i
+	} else {
+		c.lruStream = i
+	}
+	c.mruStream = i
+}
+
+// issue runs the streamer ahead of stream st, which tracks page, subject
+// to the accuracy throttle.
+func (c *Cache) issue(st *stream, page, la uint64) {
 	conf := 2
 	degree := c.cfg.PrefetchDegree
 	switch c.throttleLevel {
@@ -479,7 +527,7 @@ func (c *Cache) issue(st *stream, la uint64) {
 		return
 	}
 	// Confirmed stream: run degree lines ahead, within the page.
-	pageFirst := st.page * c.lpp
+	pageFirst := page * c.lpp
 	pageLast := pageFirst + c.lpp - 1
 	next := la
 	for i := 0; i < degree; i++ {

@@ -459,3 +459,20 @@ func TestResumeRevalidates(t *testing.T) {
 		t.Errorf("Resume(tampered) = %v, want ErrRecordModified", err)
 	}
 }
+
+// TestJobIDStable pins the id of the default campaign. A job id hashes the
+// JSON of its grid, and that JSON carries every field of machine.Config,
+// and so of cache.Config, link.Config and mem.Config, under its Go name:
+// adding, removing or renaming one such field changes every id, so Submit
+// no longer re-attaches to a stored job and Resume of a stored job fails
+// with ErrRecordModified. Change this id only together with a migration of
+// stored jobs.
+func TestJobIDStable(t *testing.T) {
+	id, err := jobID(sweep.DefaultGrid(scenario.Default()), registry.Names(), 100, sweep.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a91873049f902e89"; id != want {
+		t.Errorf("default campaign job id = %s, want %s", id, want)
+	}
+}

@@ -54,9 +54,13 @@ type Config struct {
 	// unbounded (a single-tier system). A Space itself places no page:
 	// the capacity applies where its bind/free log is placed (Place).
 	LocalCapacity uint64
-	// RemoteCapacity is the remote tier capacity in bytes. Zero means
-	// unbounded, matching the paper's assumption that the pool always has
-	// room for spilled pages.
+	// RemoteCapacity is meant as the remote tier capacity in bytes, but no
+	// code reads it: the remote tier is unbounded, matching the paper's
+	// assumption that the pool always has room for spilled pages. Nothing
+	// in this module sets it, so it splits no profile cache key. It stays
+	// because campaign job ids hash the JSON of every machine.Config
+	// field, this one included: deleting it would change every stored
+	// job's id (see TestJobIDStable in internal/jobs).
 	RemoteCapacity uint64
 }
 

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/workloads/bfs"
 	"repro/internal/workloads/hypre"
+	"repro/internal/workloads/registry"
 )
 
 func TestRoundTripEvents(t *testing.T) {
@@ -188,5 +191,44 @@ func TestReplayClosesDanglingPhase(t *testing.T) {
 	}
 	if len(m.Phases()) != 1 {
 		t.Fatalf("dangling phase should be closed, got %d phases", len(m.Phases()))
+	}
+}
+
+// TestOpStreamDigests pins the SHA-256 of every registry workload's
+// recorded op stream at scale 1 on the default machine: every allocation,
+// free, access, flop count, phase boundary and tick, in order. A kernel
+// change that reorders, drops or merges one simulated access — a single
+// ReadRange over two adjacent records, say, which counts their shared line
+// once — changes its workload's digest, although the traffic totals that
+// TestWorkloadsDeterministic compares may not move. The quick tier records
+// only the workloads of the benchmark's cold path.
+func TestOpStreamDigests(t *testing.T) {
+	digests := map[string]string{
+		"HPL":     "84fa519df69f42fe6f1700833c0657684ce54461bfbee5c3ed24640972ce4e3b",
+		"Hypre":   "279cad0d690f50ee2ebdf5ed35e04cec7dadd995cbe930a89edaaccb50d2469f",
+		"NekRS":   "6d213c3e8afd9112cff304f4442dbd3b0d6ac540d974236338a26811441ed232",
+		"BFS":     "7d9dad83b26f479fab9659bb7f706ed867bd860d2535cb99570d5a8a8c6d80c2",
+		"SuperLU": "997e3e9d046d3143d670766a4eb9620b7add82e786b2c78445af82f0acd1c863",
+		"XSBench": "3a5a82cc56c7c1af315255072d92e3981a32766797998319e0b9e6cb298bcbe7",
+	}
+	quick := map[string]bool{"HPL": true, "Hypre": true, "XSBench": true}
+	for _, e := range registry.All() {
+		if testing.Short() && !quick[e.Name] {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			want, ok := digests[e.Name]
+			if !ok {
+				t.Fatalf("no pinned digest for %s", e.Name)
+			}
+			h := sha256.New()
+			if err := Record(machine.New(machine.Default()), e.New(1).Run, h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Errorf("op stream digest = %s, want %s", got, want)
+			}
+		})
 	}
 }

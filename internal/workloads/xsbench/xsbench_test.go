@@ -119,3 +119,16 @@ func TestChecksumFinite(t *testing.T) {
 		t.Errorf("checksum = %v, want > 0", x.Checksum)
 	}
 }
+
+// TestChecksumPinned pins scale 1's checksum bit for bit. It moves if the
+// grids, the random stream or the interpolation's arithmetic change (the
+// form lo*(1-f) + hi*f already moves it by one ulp). It does not see the
+// order of the sum over nuclides: channel 1 interpolates to the query
+// energy itself, so the 64 terms of a lookup are nearly all equal.
+func TestChecksumPinned(t *testing.T) {
+	x := New(1)
+	x.Run(machine.New(machine.Default()))
+	if got, want := math.Float64bits(x.Checksum), uint64(0x4123acb5bd817a89); got != want {
+		t.Errorf("checksum = %v (bits %#x), want %v (bits %#x)", x.Checksum, got, math.Float64frombits(want), want)
+	}
+}
