@@ -60,6 +60,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/jobs"
+	"repro/internal/memo"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -130,13 +131,18 @@ type Config struct {
 }
 
 // server is the built API: the configuration plus the shared serving
-// state every handler needs — the counter set and the render-coalescing,
-// representation-memoizing flight group — and the middleware chain that
-// serves it.
+// state every handler needs — the counter set and the two representation
+// memos — and the middleware chain that serves it.
 type server struct {
 	cfg     Config
 	metrics *Metrics
-	flights *flightGroup
+	// arts memoizes artifact representations. Their keys range over the
+	// platforms, artifacts and formats the backend serves, so the memo
+	// needs no bound.
+	arts *memo.Memo[repKey, rep]
+	// sweeps memoizes /v1/sweep representations, whose grids are
+	// request-controlled; its entries keep no identity body.
+	sweeps  *memo.Memo[repKey, rep]
 	handler http.Handler
 }
 
@@ -152,7 +158,12 @@ func New(c Config) http.Handler {
 	if m == nil {
 		m = &Metrics{}
 	}
-	s := &server{cfg: c, metrics: m, flights: newFlightGroup(m)}
+	s := &server{
+		cfg:     c,
+		metrics: m,
+		arts:    memo.New[repKey, rep](0, &m.Reps),
+		sweeps:  memo.New[repKey, rep](maxSweepReps, &m.Reps),
+	}
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", get(s.handleHealthz))
 	mux.Handle("/v1", get(s.handleIndex))
@@ -264,7 +275,7 @@ func (s *server) handleArtifactIndex(w http.ResponseWriter, r *http.Request) {
 // handleArtifact serves one rendered artifact. Only canonical ids name
 // /v1 resources: a figure alias is a 404 whose message points at the
 // canonical id, so every document is served from exactly one URL. A cold
-// render goes through the coalescing flight group: concurrent cache-miss
+// render goes through the representation memo: concurrent cache-miss
 // requests for one (platform, artifact, format) trigger one backend
 // render, and the computation survives any single client's disconnect as
 // long as another is still waiting. A warm 304 or gzip request is answered
@@ -288,32 +299,35 @@ func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	platform := r.URL.Query().Get("platform")
 	keyPlatform := platform
 	if keyPlatform == "" {
-		// Normalize the flight key so "" and the explicit default name
-		// coalesce onto one render.
+		// Normalize the key so "" and the explicit default name share one
+		// entry.
 		keyPlatform = s.cfg.Backend.DefaultPlatform()
 	}
-	key := flightKey{platform: keyPlatform, artifact: canon, format: f}
-	render := func(ctx context.Context) (string, error) {
-		return s.cfg.Backend.Rendered(ctx, platform, canon, f)
-	}
-	rp, warm := s.flights.cached(key)
+	key := repKey{platform: keyPlatform, artifact: canon, format: f}
+	rp, warm := s.arts.Get(key)
 	if warm && wantsBody(r, rp) {
 		// A warm identity 200 writes the store's own string. When the
 		// store's document changed since the entry was derived (a
-		// Store().Put), the entry is rebuilt from the new string, so a new
-		// body never goes out under an old tag.
-		out, err := render(r.Context())
+		// Store().Put), the entry is dropped and rebuilt, so a new body
+		// never goes out under an old tag.
+		out, err := s.cfg.Backend.Rendered(r.Context(), platform, canon, f)
 		if err != nil {
 			writeStatusError(w, err)
 			return
 		}
-		if out != rp.body {
-			warm = false
-			render = func(context.Context) (string, error) { return out, nil }
+		if warm = out == rp.body; !warm {
+			s.arts.Drop(key)
 		}
 	}
 	if !warm {
-		if rp, err = s.flights.Do(r.Context(), key, render); err != nil {
+		rp, err = s.arts.Do(r.Context(), key, func(ctx context.Context) (rep, error) {
+			out, err := s.cfg.Backend.Rendered(ctx, platform, canon, f)
+			if err != nil {
+				return rep{}, err
+			}
+			return rep{body: out, stem: etagStem(out), gz: gzipString(out)}, nil
+		})
+		if err != nil {
 			writeStatusError(w, err)
 			return
 		}
@@ -396,18 +410,11 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// normalizes axis declarations — a range spelling and its expanded
 	// value list key identically), so N cache-miss queries for one
 	// campaign view trigger one execution and one render.
-	key := flightKey{platform: platform, artifact: artifact, grid: g.Key(), format: f}
-	rp, warm := s.flights.cached(key)
-	if warm && !wantsBody(r, rp) {
-		s.writeRep(w, r, f, rp)
-		return
-	}
-	// A sweep entry keeps no body, so an identity 200 re-renders the
-	// campaign the backend memoizes.
-	rp, err = s.flights.Do(r.Context(), key, func(ctx context.Context) (string, error) {
+	key := repKey{platform: platform, artifact: artifact, grid: g.Key(), format: f}
+	rp, err := s.sweeps.Do(r.Context(), key, func(ctx context.Context) (rep, error) {
 		camp, err := s.cfg.Backend.Sweep(ctx, g)
 		if err != nil {
-			return "", err
+			return rep{}, err
 		}
 		var doc report.Doc
 		if artifact == "sensitivity" {
@@ -420,8 +427,17 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// through ?platform= and matches /v1/platforms (and what the
 		// CLI's seeded store emits for the same campaign).
 		doc.Platform = platform
-		return report.Render(doc, f)
+		out, err := report.Render(doc, f)
+		if err != nil {
+			return rep{}, err
+		}
+		return rep{stem: etagStem(out), gz: gzipString(out)}, nil
 	})
+	if err == nil && wantsBody(r, rp) {
+		// A sweep entry keeps no identity body: an identity 200 serves its
+		// gzip bytes decompressed.
+		rp.body, err = gunzipString(rp.gz)
+	}
 	if err != nil {
 		writeStatusError(w, err)
 		return

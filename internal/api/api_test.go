@@ -330,10 +330,10 @@ func TestFormatErrorListsFormats(t *testing.T) {
 
 // TestSweepMemoSeam pins where each memo lives. Campaign execution and its
 // memo stay in the service, behind Backend.Sweep, which the stub does not
-// memoize: a memoized /v1/sweep representation keeps only its ETag stem and
-// gzip bytes, so every identity request still reaches Sweep. Warm gzip and
-// 304 requests are answered from the representation and reach it zero
-// times.
+// memoize; the handler memoizes only the representation (ETag stem and
+// gzip bytes). The cold request reaches Sweep once, and every warm request
+// — identity, whose body is the gzip bytes decompressed, gzip or 304 — is
+// answered from the representation and reaches it zero times.
 func TestSweepMemoSeam(t *testing.T) {
 	srv, b := newTestServer(t)
 	var etag string
@@ -347,8 +347,8 @@ func TestSweepMemoSeam(t *testing.T) {
 		}
 		etag = hdr.Get("ETag")
 	}
-	if n := b.sweeps.Load(); n != 2 {
-		t.Errorf("stub saw %d sweep executions for 2 identity requests, want 2 (campaign memoization lives in the service, not the handler)", n)
+	if n := b.sweeps.Load(); n != 1 {
+		t.Errorf("stub saw %d sweep executions for 2 identity requests, want 1 (the warm one is a representation hit)", n)
 	}
 	for _, hdr := range []map[string]string{
 		{"Accept-Encoding": "gzip"},
@@ -359,7 +359,7 @@ func TestSweepMemoSeam(t *testing.T) {
 			t.Fatalf("warm sweep request %v = %d", hdr, code)
 		}
 	}
-	if n := b.sweeps.Load(); n != 2 {
-		t.Errorf("stub saw %d sweep executions after warm gzip and 304 requests, want still 2", n)
+	if n := b.sweeps.Load(); n != 1 {
+		t.Errorf("stub saw %d sweep executions after warm gzip and 304 requests, want still 1", n)
 	}
 }

@@ -1,14 +1,12 @@
 package api
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/report"
@@ -118,153 +116,21 @@ func (s *server) writeRep(w http.ResponseWriter, r *http.Request, f report.Forma
 	_, _ = w.Write(rp.gz)
 }
 
-// flight is one in-progress render shared by every request that asked for
-// the same (platform, artifact, format) while it was in the air.
-type flight struct {
-	refs     int
-	cancel   context.CancelFunc
-	done     chan struct{}
-	rep      rep
-	err      error
-	panicked any
-}
-
-// flightKey identifies one coalesceable render. A typed comparable struct
-// per the cachekeys contract: the fields are exactly the inputs the
+// repKey identifies one memoized representation. A typed comparable
+// struct per the cachekeys contract: the fields are exactly the inputs the
 // rendered bytes depend on, there is no separator to collide on, and
 // adding a dependency means adding a field the compiler checks at every
 // call site.
-type flightKey struct {
+type repKey struct {
 	// platform is the canonical platform name (the default platform's
-	// name when the request left it implicit, so both spellings coalesce).
+	// name when the request left it implicit, so both spellings share one
+	// entry).
 	platform string
 	// artifact is the canonical artifact id, or the sweep view name.
 	artifact string
 	// grid is the canonical sweep declaration (Grid.Key()) for sweep
-	// flights, empty for plain artifact renders.
+	// entries, empty for plain artifact renders.
 	grid string
 	// format is the negotiated rendering format.
 	format report.Format
-}
-
-// flightGroup coalesces concurrent cache-miss renders and memoizes what
-// they produce. The first request for a key starts the render, later
-// arrivals wait on the same flight, and the underlying computation runs
-// under a context that dies only when the last waiter has gone — one
-// caller disconnecting never poisons the result for the rest. A
-// successful flight derives its representation's ETag stem and gzip bytes
-// once and keeps them as the key's entry, so a warm request answered from
-// that entry starts no flight and no goroutine and hashes and compresses
-// nothing. Errors and abandoned flights are never memoized.
-type flightGroup struct {
-	metrics *Metrics
-	mu      sync.Mutex
-	flights map[flightKey]*flight
-	// reps holds each key's last successful representation. A sweep entry
-	// (a key with a grid) keeps no body; sweeps lists those keys oldest
-	// first, and the oldest is evicted past maxSweepReps.
-	reps   map[flightKey]rep
-	sweeps []flightKey
-}
-
-func newFlightGroup(m *Metrics) *flightGroup {
-	return &flightGroup{metrics: m, flights: map[flightKey]*flight{}, reps: map[flightKey]rep{}}
-}
-
-// cached returns key's memoized representation, if there is one.
-func (g *flightGroup) cached(key flightKey) (rep, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rp, ok := g.reps[key]
-	return rp, ok
-}
-
-// Do returns the representation of fn's result for key, executing fn at
-// most once across all concurrent callers and memoizing the result. A
-// caller whose ctx dies returns ctx.Err() immediately; the flight itself
-// is cancelled (and evicted, so later requests start fresh) only when no
-// caller remains. A panic inside fn re-panics in every waiting caller,
-// keeping the recovery middleware's one-envelope contract.
-func (g *flightGroup) Do(ctx context.Context, key flightKey, fn func(context.Context) (string, error)) (rep, error) {
-	g.mu.Lock()
-	f, ok := g.flights[key]
-	if ok {
-		f.refs++
-		g.metrics.Coalesced.Add(1)
-	} else {
-		// The flight deliberately outlives any single waiter: its context
-		// dies when the last waiter leaves, not when the first one does.
-		//repro:allow ctxflow — coalesced flight lifecycle is detached by design; cancellation is refcounted below
-		fctx, cancel := context.WithCancel(context.Background())
-		f = &flight{refs: 1, cancel: cancel, done: make(chan struct{})}
-		g.flights[key] = f
-		g.metrics.Renders.Add(1)
-		go func() {
-			defer func() {
-				if v := recover(); v != nil {
-					f.panicked = v
-				}
-				g.mu.Lock()
-				if g.flights[key] == f {
-					delete(g.flights, key)
-				}
-				g.mu.Unlock()
-				cancel()
-				close(f.done)
-			}()
-			var out string
-			if out, f.err = fn(fctx); f.err == nil {
-				f.rep = g.memoize(key, out)
-			}
-		}()
-	}
-	g.mu.Unlock()
-	select {
-	case <-f.done:
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
-		return f.rep, f.err
-	case <-ctx.Done():
-		g.mu.Lock()
-		f.refs--
-		if f.refs == 0 {
-			// Last caller gone: abandon the render and evict the flight so
-			// a later request is not handed the cancellation error.
-			f.cancel()
-			if g.flights[key] == f {
-				delete(g.flights, key)
-			}
-		}
-		g.mu.Unlock()
-		return rep{}, ctx.Err()
-	}
-}
-
-// memoize derives the representation of a freshly rendered body and keeps
-// it as key's entry. A body that hashes to the entry's stem keeps the
-// entry's gzip bytes (a /v1/sweep identity request re-renders the same
-// campaign), so each distinct body is compressed once.
-func (g *flightGroup) memoize(key flightKey, body string) rep {
-	rp := rep{body: body, stem: etagStem(body)}
-	if old, ok := g.cached(key); ok && old.stem == rp.stem {
-		rp.gz = old.gz
-	} else {
-		rp.gz = gzipString(body)
-	}
-	kept := rp
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if key.grid != "" {
-		kept.body = ""
-		if _, ok := g.reps[key]; !ok {
-			if len(g.sweeps) == maxSweepReps {
-				delete(g.reps, g.sweeps[0])
-				g.sweeps = g.sweeps[1:]
-			}
-			g.sweeps = append(g.sweeps, key)
-		}
-	}
-	g.reps[key] = kept
-	return rp
 }

@@ -343,7 +343,7 @@ func TestCoalescedRenders(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, "all requests to share one flight", func() bool {
-		return m.Renders.Load() == 1 && m.Coalesced.Load() == n-1
+		return m.Reps.Misses.Load() == 1 && m.Reps.Joins.Load() == n-1
 	})
 	close(b.gate)
 	wg.Wait()
@@ -407,7 +407,7 @@ func TestSweepCoalescing(t *testing.T) {
 		}(i, path)
 	}
 	waitFor(t, "all sweep spellings to share one flight", func() bool {
-		return m.Renders.Load() == 1 && m.Coalesced.Load() == int64(n-1)
+		return m.Reps.Misses.Load() == 1 && m.Reps.Joins.Load() == int64(n-1)
 	})
 	close(b.gate)
 	wg.Wait()
@@ -425,103 +425,5 @@ func TestSweepCoalescing(t *testing.T) {
 	code, body, _ := fetchHdr(t, srv, "/v1/sweep?axis=lat%3D0:1000:1&axis=bw%3D1,2,3,4,5", identity)
 	if code != 400 || !strings.Contains(string(body), "jobs") {
 		t.Errorf("oversized sync sweep = %d: %s", code, firstN(string(body), 160))
-	}
-}
-
-// TestFlightGroupWaiterCancel pins the non-poisoning contract: one waiter's
-// context death returns its own ctx.Err immediately, while the flight — and
-// its context — stays alive for the remaining waiter, who still gets the
-// result.
-func TestFlightGroupWaiterCancel(t *testing.T) {
-	m := &Metrics{}
-	g := newFlightGroup(m)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var fnCtx context.Context
-	fn := func(ctx context.Context) (string, error) {
-		fnCtx = ctx
-		close(started)
-		select {
-		case <-release:
-			return "rendered", nil
-		case <-ctx.Done():
-			return "", ctx.Err()
-		}
-	}
-	type res struct {
-		out string
-		err error
-	}
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-	aCh := make(chan res, 1)
-	go func() {
-		out, err := g.Do(ctxA, flightKey{artifact: "k"}, fn)
-		aCh <- res{out.body, err}
-	}()
-	<-started
-	bCh := make(chan res, 1)
-	go func() {
-		out, err := g.Do(context.Background(), flightKey{artifact: "k"}, fn)
-		bCh <- res{out.body, err}
-	}()
-	waitFor(t, "second caller to join the flight", func() bool { return m.Coalesced.Load() == 1 })
-
-	cancelA()
-	a := <-aCh
-	if a.err != context.Canceled || a.out != "" {
-		t.Fatalf("cancelled waiter got (%q, %v), want its own ctx.Err", a.out, a.err)
-	}
-	select {
-	case <-fnCtx.Done():
-		t.Fatal("flight context died while a waiter remained — the render was poisoned")
-	default:
-	}
-
-	close(release)
-	if b := <-bCh; b.err != nil || b.out != "rendered" {
-		t.Fatalf("surviving waiter got (%q, %v), want the rendered result", b.out, b.err)
-	}
-	if m.Renders.Load() != 1 {
-		t.Errorf("renders = %d, want 1", m.Renders.Load())
-	}
-}
-
-// TestFlightGroupAbandonAndRetry checks the last-waiter path: when every
-// caller is gone the flight's context is cancelled and the flight evicted,
-// so the next request starts a fresh render instead of joining a corpse.
-func TestFlightGroupAbandonAndRetry(t *testing.T) {
-	m := &Metrics{}
-	g := newFlightGroup(m)
-	fnDone := make(chan error, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	resCh := make(chan error, 1)
-	go func() {
-		_, err := g.Do(ctx, flightKey{artifact: "k"}, func(fctx context.Context) (string, error) {
-			<-fctx.Done()
-			fnDone <- fctx.Err()
-			return "", fctx.Err()
-		})
-		resCh <- err
-	}()
-	waitFor(t, "the flight to start", func() bool { return m.Renders.Load() == 1 })
-	cancel()
-	if err := <-resCh; err != context.Canceled {
-		t.Fatalf("abandoned caller got %v, want context.Canceled", err)
-	}
-	// The flight context must die with its last waiter — that is what stops
-	// an orphaned render from pinning the engine.
-	if err := <-fnDone; err != context.Canceled {
-		t.Fatalf("flight context ended with %v, want context.Canceled", err)
-	}
-	out, err := g.Do(context.Background(), flightKey{artifact: "k"}, func(context.Context) (string, error) {
-		return "fresh", nil
-	})
-	if err != nil || out.body != "fresh" {
-		t.Fatalf("retry after abandonment got (%q, %v), want a fresh render", out, err)
-	}
-	if m.Renders.Load() != 2 {
-		t.Errorf("renders = %d, want 2 (abandoned + fresh)", m.Renders.Load())
 	}
 }

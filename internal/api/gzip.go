@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/memo"
 )
 
 // acceptsGzip reports whether the request negotiated a gzip response: an
@@ -36,22 +38,29 @@ func gzipString(body string) []byte {
 	return bytes.Clone(buf.Bytes())
 }
 
-// Metrics is the serving-layer counter set: every request, every render a
-// flight executed, every waiter a flight absorbed, every 304 and every
-// gzipped body. `GET /v1/stats` serves a snapshot, which is what the CI
-// serving smoke and perfbench's warm-http workload read around their
-// requests.
+// gunzipString decompresses bytes gzipString wrote.
+func gunzipString(gz []byte) (string, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return "", err
+	}
+	body, err := io.ReadAll(zr)
+	return string(body), err
+}
+
+// Metrics is the serving-layer counter set: every request, every render
+// the representation memos ran, every request that waited on one already
+// running, every 304 and every gzipped body. `GET /v1/stats` serves a
+// snapshot, which is what the CI serving smoke and perfbench's warm-http
+// workload read around their requests.
 type Metrics struct {
 	// Requests counts every request through the handler, any route.
 	Requests atomic.Int64
-	// Renders counts coalesced-flight executions: cold misses, artifact
-	// entries rebuilt after the backend's document changed, and /v1/sweep
-	// identity 200s, which re-render because a sweep entry keeps no body.
-	// Warm requests served from the representation memo do not count.
-	Renders atomic.Int64
-	// Coalesced counts requests that joined an already-in-flight render
-	// instead of starting their own.
-	Coalesced atomic.Int64
+	// Reps counts the representation memos' lookups. Its Misses are the
+	// renders: cold misses and artifact entries rebuilt after the
+	// backend's document changed. Its Joins are the requests that joined
+	// an already-in-flight render instead of starting their own.
+	Reps memo.Stats
 	// NotModified counts conditional requests answered 304.
 	NotModified atomic.Int64
 	// Gzipped counts success bodies served gzip-encoded.
@@ -62,8 +71,8 @@ type Metrics struct {
 func (m *Metrics) Snapshot() map[string]int64 {
 	return map[string]int64{
 		"requests":     m.Requests.Load(),
-		"renders":      m.Renders.Load(),
-		"coalesced":    m.Coalesced.Load(),
+		"renders":      m.Reps.Misses.Load(),
+		"coalesced":    m.Reps.Joins.Load(),
 		"not_modified": m.NotModified.Load(),
 		"gzipped":      m.Gzipped.Load(),
 	}

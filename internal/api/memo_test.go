@@ -60,11 +60,11 @@ func leastAlloc(fn func()) uint64 {
 }
 
 // TestWarmHitsCallNoBackend pins the warm path of both memoized routes. A
-// warm gzip or 304 request calls neither Rendered nor Sweep, and neither
-// request kind nor a warm artifact identity request starts a flight: the
-// Renders counter, which counts flights, stays put. A flight is the only
-// place a memoized route hashes or compresses, and the allocation bound
-// shows no compressor was built (a gzip.Writer alone allocates ~800 KiB).
+// warm gzip or 304 request calls neither Rendered nor Sweep, and no warm
+// request starts a render: the renders counter, which counts memo misses,
+// stays put. A render is the only place a memoized route hashes or
+// compresses, and the allocation bound shows no compressor was built (a
+// gzip.Writer alone allocates ~800 KiB).
 func TestWarmHitsCallNoBackend(t *testing.T) {
 	m := &Metrics{}
 	b := &countingBackend{stubBackend: &stubBackend{}}
@@ -79,7 +79,7 @@ func TestWarmHitsCallNoBackend(t *testing.T) {
 			t.Fatalf("cold GET %s = %d", path, cold.Code)
 		}
 		etag := cold.Header().Get("ETag")
-		renders, before := m.Renders.Load(), calls()
+		renders, before := m.Reps.Misses.Load(), calls()
 		warm := []map[string]string{
 			{"Accept-Encoding": "gzip"},
 			{"Accept-Encoding": "identity", "If-None-Match": etag},
@@ -93,8 +93,8 @@ func TestWarmHitsCallNoBackend(t *testing.T) {
 		if got := calls() - before; got != 0 {
 			t.Errorf("%s: warm gzip and 304 requests made %d backend calls, want 0", path, got)
 		}
-		if got := m.Renders.Load() - renders; got != 0 {
-			t.Errorf("%s: warm gzip and 304 requests started %d flights, want 0", path, got)
+		if got := m.Reps.Misses.Load() - renders; got != 0 {
+			t.Errorf("%s: warm gzip and 304 requests started %d renders, want 0", path, got)
 		}
 		for _, hdr := range warm {
 			if got := leastAlloc(func() { hit(h, http.MethodGet, path, hdr) }); got > 64<<10 {
@@ -104,15 +104,23 @@ func TestWarmHitsCallNoBackend(t *testing.T) {
 	}
 
 	// A warm artifact identity 200 reads the store's string (one Rendered
-	// call) and serves it without a flight.
-	const art = "/v1/artifacts/figure9?format=json"
-	renders, rendered := m.Renders.Load(), b.rendered.Load()
-	if rec := hit(h, http.MethodGet, art, identity); rec.Code != 200 || rec.Body.Len() == 0 {
-		t.Fatalf("warm identity GET %s = %d with %d bytes", art, rec.Code, rec.Body.Len())
-	}
-	if m.Renders.Load() != renders || b.rendered.Load() != rendered+1 {
-		t.Errorf("warm identity GET: %d flights and %d Rendered calls, want 0 and 1",
-			m.Renders.Load()-renders, b.rendered.Load()-rendered)
+	// call); a warm sweep identity 200 decompresses the entry's gzip bytes
+	// and calls nothing. Neither starts a render.
+	for _, c := range []struct {
+		path     string
+		rendered int32
+	}{
+		{"/v1/artifacts/figure9?format=json", 1},
+		{"/v1/sweep?format=json&axis=lat%3D0,10", 0},
+	} {
+		renders, rendered, sweeps := m.Reps.Misses.Load(), b.rendered.Load(), b.sweeps.Load()
+		if rec := hit(h, http.MethodGet, c.path, identity); rec.Code != 200 || rec.Body.Len() == 0 {
+			t.Fatalf("warm identity GET %s = %d with %d bytes", c.path, rec.Code, rec.Body.Len())
+		}
+		if m.Reps.Misses.Load() != renders || b.rendered.Load() != rendered+c.rendered || b.sweeps.Load() != sweeps {
+			t.Errorf("warm identity GET %s: %d renders, %d Rendered and %d Sweep calls, want 0, %d and 0", c.path,
+				m.Reps.Misses.Load()-renders, b.rendered.Load()-rendered, b.sweeps.Load()-sweeps, c.rendered)
+		}
 	}
 }
 
@@ -128,22 +136,29 @@ func TestSweepMemoBounded(t *testing.T) {
 	}
 	path := func(i int) string { return fmt.Sprintf("/v1/sweep?format=json&axis=lat%%3D%d", i) }
 	const grids = maxSweepReps + 8
-	for i := 0; i < grids; i++ {
-		if rec := hit(s, http.MethodGet, path(i), identity); rec.Code != 200 {
+	keys := make([]repKey, grids)
+	for i := range keys {
+		rec := hit(s, http.MethodGet, path(i), identity)
+		if rec.Code != 200 {
 			t.Fatalf("GET %s = %d\n%s", path(i), rec.Code, rec.Body)
 		}
-	}
-	s.flights.mu.Lock()
-	entries, sweeps := len(s.flights.reps), len(s.flights.sweeps)
-	for key, rp := range s.flights.reps {
-		if key.grid != "" && rp.body != "" {
-			t.Errorf("sweep entry %v keeps its %d-byte identity body, want only the stem and gzip bytes", key, len(rp.body))
+		g, err := b.Grid("", sweep.Axis{Name: "lat", Values: []float64{float64(i)}})
+		if err != nil {
+			t.Fatal(err)
 		}
+		keys[i] = repKey{platform: b.DefaultPlatform(), artifact: "sweep", grid: g.Key(), format: report.FormatJSON}
 	}
-	s.flights.mu.Unlock()
-	if sweeps != maxSweepReps || entries != maxSweepReps+1 {
-		t.Fatalf("after %d grids: %d sweep entries and %d entries in all, want %d and %d (the artifact's kept)",
-			grids, sweeps, entries, maxSweepReps, maxSweepReps+1)
+	if n, arts := s.sweeps.Len(), s.arts.Len(); n != maxSweepReps || arts != 1 {
+		t.Fatalf("after %d grids: %d sweep entries and %d artifact entries, want %d and 1", grids, n, arts, maxSweepReps)
+	}
+	for i, key := range keys {
+		rp, ok := s.sweeps.Get(key)
+		if ok != (i >= grids-maxSweepReps) {
+			t.Errorf("grid %d memoized = %v, want only the newest %d kept", i, ok, maxSweepReps)
+		}
+		if rp.body != "" {
+			t.Errorf("grid %d's entry keeps its %d-byte identity body, want only the stem and gzip bytes", i, len(rp.body))
+		}
 	}
 	gz := map[string]string{"Accept-Encoding": "gzip"}
 	before := b.sweeps.Load()

@@ -90,7 +90,7 @@ func Run(cfg machine.Config, w workloads.Workload) *machine.Machine {
 // at a fraction of its cost.
 func (p *Profiler) PeakUsage(entry registry.Entry, scale int) uint64 {
 	key := execKeyFor(p.cfg, entry.Name, scale)
-	return cached(p.cache, p.cache.peak, key, func() uint64 {
+	return p.cache.peak.Value(key, func() uint64 {
 		return machine.PeakFootprintOf(p.cfg, entry.New(scale).Run)
 	})
 }
@@ -102,7 +102,7 @@ func (p *Profiler) PeakUsage(entry registry.Entry, scale int) uint64 {
 // (machine.SplitAt).
 func (p *Profiler) Execute(entry registry.Entry, scale int) (*machine.Machine, uint64) {
 	m := Run(p.cfg, entry.New(scale))
-	return m, cached(p.cache, p.cache.peak, execKeyFor(p.cfg, entry.Name, scale), m.PeakFootprint)
+	return m, p.cache.peak.Value(execKeyFor(p.cfg, entry.Name, scale), m.PeakFootprint)
 }
 
 // ConfigForLocalFraction returns the platform config with the local tier
@@ -173,7 +173,7 @@ func (p *Profiler) Level1(entry registry.Entry, scale int) Level1Report {
 		mlp:                 p.cfg.MLP,
 		streamDemandPenalty: p.cfg.StreamDemandPenalty,
 	}
-	return cached(p.cache, p.cache.l1, key, func() Level1Report {
+	return p.cache.l1.Value(key, func() Level1Report {
 		return p.level1(entry, scale)
 	})
 }
@@ -246,7 +246,7 @@ type ScalingPoint struct {
 // share sampled at each percent of the footprint.
 func (p *Profiler) ScalingCurve(entry registry.Entry, scale int) []ScalingPoint {
 	key := singleTierKeyFor(p.cfg, entry.Name, scale)
-	return cached(p.cache, p.cache.curve, key, func() []ScalingPoint {
+	return p.cache.curve.Value(key, func() []ScalingPoint {
 		return p.scalingCurve(entry, scale)
 	})
 }
@@ -315,7 +315,7 @@ type Level2Report struct {
 // treat the returned slices as read-only.
 func (p *Profiler) Level2(entry registry.Entry, scale int, localFraction float64) Level2Report {
 	key := l2Key{exec: execKeyFor(p.cfg, entry.Name, scale), fraction: localFraction}
-	rep := cached(p.cache, p.cache.l2, key, func() Level2Report {
+	rep := p.cache.l2.Value(key, func() Level2Report {
 		return p.level2(entry, scale, localFraction)
 	})
 	rep.RBW = p.cfg.BandwidthRatio()
@@ -415,7 +415,7 @@ func (p *Profiler) RooflineModel() roofline.Model {
 		localBandwidth: p.cfg.LocalBandwidth,
 		dataBandwidth:  p.cfg.Link.DataBandwidth,
 	}
-	return cached(p.cache, p.cache.roofline, key, func() roofline.Model {
+	return p.cache.roofline.Value(key, func() roofline.Model {
 		return roofline.Model{
 			PeakFlops:       p.cfg.PeakFlops,
 			LocalBandwidth:  p.cfg.LocalBandwidth,

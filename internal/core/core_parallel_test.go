@@ -50,10 +50,8 @@ func TestProfilerConcurrentCallersShareOneExecution(t *testing.T) {
 
 	// The caches hold exactly one entry per distinct key. Level2's
 	// execution records the peak, so the peak map has one entry too.
-	p.cache.mu.Lock()
-	defer p.cache.mu.Unlock()
-	if len(p.cache.l2) != 1 || len(p.cache.peak) != 1 {
-		t.Fatalf("cache sizes: l2=%d peak=%d, want 1 and 1", len(p.cache.l2), len(p.cache.peak))
+	if p.cache.l2.Len() != 1 || p.cache.peak.Len() != 1 {
+		t.Fatalf("cache sizes: l2=%d peak=%d, want 1 and 1", p.cache.l2.Len(), p.cache.peak.Len())
 	}
 }
 

@@ -17,12 +17,10 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/memo"
 	"repro/internal/roofline"
 )
 
@@ -76,48 +74,31 @@ type rooflineKey struct {
 	dataBandwidth  float64
 }
 
-// flight is one single-flight cache slot.
-type flight[T any] struct {
-	once sync.Once
-	val  T
-	// done flips after val is computed, distinguishing a lookup that found
-	// a finished entry (hit) from one that joined an in-flight compute.
-	done atomic.Bool
-	// panicked records a panic raised by the compute function: sync.Once
-	// marks itself done even then, so without this every later caller for
-	// the key would silently receive the zero value.
-	panicked any
-}
-
 // SharedCache memoizes profiler sub-results under dependency keys. One
 // cache may back any number of Profilers for any number of platforms
-// concurrently: entries are single-flight (concurrent requests for the same
-// key block on exactly one compute) and race-safe, and cached values are
+// concurrently: each level is a single-flight memo (concurrent requests
+// for the same key block on exactly one compute), and cached values are
 // shared between callers, so they must be treated as read-only.
 //
 // The zero value is not usable; construct with NewSharedCache.
 type SharedCache struct {
-	mu       sync.Mutex
-	peak     map[execKey]*flight[uint64]
-	curve    map[execKey]*flight[[]ScalingPoint]
-	l1       map[l1Key]*flight[Level1Report]
-	l2       map[l2Key]*flight[Level2Report]
-	roofline map[rooflineKey]*flight[roofline.Model]
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	joins  atomic.Int64
+	stats    memo.Stats
+	peak     *memo.Memo[execKey, uint64]
+	curve    *memo.Memo[execKey, []ScalingPoint]
+	l1       *memo.Memo[l1Key, Level1Report]
+	l2       *memo.Memo[l2Key, Level2Report]
+	roofline *memo.Memo[rooflineKey, roofline.Model]
 }
 
 // NewSharedCache returns an empty shared profile cache.
 func NewSharedCache() *SharedCache {
-	return &SharedCache{
-		peak:     map[execKey]*flight[uint64]{},
-		curve:    map[execKey]*flight[[]ScalingPoint]{},
-		l1:       map[l1Key]*flight[Level1Report]{},
-		l2:       map[l2Key]*flight[Level2Report]{},
-		roofline: map[rooflineKey]*flight[roofline.Model]{},
-	}
+	c := &SharedCache{}
+	c.peak = memo.New[execKey, uint64](0, &c.stats)
+	c.curve = memo.New[execKey, []ScalingPoint](0, &c.stats)
+	c.l1 = memo.New[l1Key, Level1Report](0, &c.stats)
+	c.l2 = memo.New[l2Key, Level2Report](0, &c.stats)
+	c.roofline = memo.New[rooflineKey, roofline.Model](0, &c.stats)
+	return c
 }
 
 // CacheStats is a point-in-time snapshot of shared-cache traffic. Every
@@ -133,50 +114,13 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *SharedCache) Stats() CacheStats {
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Joins: c.joins.Load()}
+	return CacheStats{Hits: c.stats.Hits.Load(), Misses: c.stats.Misses.Load(), Joins: c.stats.Joins.Load()}
 }
 
 // Entries returns the number of distinct keys resident across all levels
 // (test and diagnostic hook).
 func (c *SharedCache) Entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.peak) + len(c.curve) + len(c.l1) + len(c.l2) + len(c.roofline)
-}
-
-// cached returns the memoized value for key, computing it with f exactly
-// once even under concurrent callers from any number of profilers. The
-// cache lock is held only for the map lookup, never during f. If f panics,
-// the panic is re-raised for every caller of the key rather than poisoning
-// the slot with a zero value.
-func cached[K comparable, T any](c *SharedCache, m map[K]*flight[T], key K, f func() T) T {
-	c.mu.Lock()
-	e := m[key]
-	switch {
-	case e == nil:
-		e = &flight[T]{}
-		m[key] = e
-		c.misses.Add(1)
-	case e.done.Load():
-		c.hits.Add(1)
-	default:
-		c.joins.Add(1)
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.panicked = r
-				panic(r)
-			}
-		}()
-		e.val = f()
-		e.done.Store(true)
-	})
-	if e.panicked != nil {
-		panic(e.panicked)
-	}
-	return e.val
+	return c.peak.Len() + c.curve.Len() + c.l1.Len() + c.l2.Len() + c.roofline.Len()
 }
 
 // execKeyFor builds the execution key for a workload run on cfg.

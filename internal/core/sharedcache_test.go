@@ -16,9 +16,7 @@ import (
 type levelSizes struct{ peak, curve, l1, l2, roofline int }
 
 func sizesOf(c *SharedCache) levelSizes {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return levelSizes{len(c.peak), len(c.curve), len(c.l1), len(c.l2), len(c.roofline)}
+	return levelSizes{c.peak.Len(), c.curve.Len(), c.l1.Len(), c.l2.Len(), c.roofline.Len()}
 }
 
 // profileAll drives every memoized sub-result once.
@@ -156,7 +154,7 @@ func TestSingleFlightOneComputePerKey(t *testing.T) {
 			for k := 0; k < keys; k++ {
 				k := k
 				key := execKey{workload: fmt.Sprintf("w%d", k), scale: k}
-				got := cached(c, c.peak, key, func() uint64 {
+				got := c.peak.Value(key, func() uint64 {
 					computes[k].Add(1)
 					time.Sleep(200 * time.Microsecond) // widen the join window
 					return uint64(k) * 3
@@ -210,5 +208,30 @@ func TestConcurrentProfilersShareOneCompute(t *testing.T) {
 	}
 	if st := c.Stats(); int(st.Misses) != c.Entries() {
 		t.Errorf("Misses = %d, resident keys = %d; want equal (exactly one compute per key)", st.Misses, c.Entries())
+	}
+}
+
+// TestHitsAllocateNothing pins the sweep-job hot path: every cell reads
+// its Level-2 report and capacity split from finished entries, and such a
+// hit allocates nothing and starts no goroutine.
+func TestHitsAllocateNothing(t *testing.T) {
+	p := NewProfiler(machine.Default())
+	e := e0()
+	exec := execKeyFor(p.cfg, e.Name, 1)
+	p.cache.peak.Put(exec, 1<<30)
+	p.cache.l2.Put(l2Key{exec: exec, fraction: 0.5}, Level2Report{LocalFraction: 0.5})
+	for _, hit := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Level2", func() { p.Level2(e, 1, 0.5) }},
+		{"ConfigForLocalFraction", func() { p.ConfigForLocalFraction(e, 1, 0.5) }},
+	} {
+		if n := testing.AllocsPerRun(100, hit.fn); n != 0 {
+			t.Errorf("a %s hit allocated %v times per call, want 0", hit.name, n)
+		}
+	}
+	if st := p.cache.Stats(); st.Misses != 0 {
+		t.Errorf("%d misses, want only hits", st.Misses)
 	}
 }

@@ -24,13 +24,14 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/pool"
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 	"repro/internal/workloads/registry"
 )
 
@@ -78,15 +79,10 @@ type Suite struct {
 	// every fan-out level draws from, so nesting never multiplies the
 	// worker count.
 	limiter *pool.Limiter
-	// scenMu guards scenProfs, the per-scenario profilers of the
-	// cross-scenario driver (memoized so repeated sweeps share caches).
-	scenMu    sync.Mutex
-	scenProfs map[string]*core.Profiler
-	// sweepMu guards sweeps, the single-flight memo of sweep campaigns
-	// keyed by grid (the "sweep" and "sensitivity" artifacts share one
-	// execution even when requested concurrently).
-	sweepMu sync.Mutex
-	sweeps  map[string]*campaignEntry
+	// campaigns memoizes sweep campaigns by grid key, so the "sweep" and
+	// "sensitivity" artifacts share one execution even when requested
+	// concurrently.
+	campaigns *memo.Memo[string, *sweep.Campaign]
 }
 
 // NewSuite returns a suite on the given platform with the paper's defaults
@@ -108,6 +104,7 @@ func NewSuiteShared(cfg machine.Config, c *core.SharedCache) *Suite {
 		Fractions: append([]float64(nil), CapacityFractions...),
 		Headline:  0.50,
 		invoke:    make(chan struct{}, 1),
+		campaigns: memo.New[string, *sweep.Campaign](MaxCampaigns, nil),
 	}
 }
 

@@ -51,27 +51,16 @@ func pct(f float64) int { return int(math.Round(f * 100)) }
 
 // profilerFor returns the suite's profiler for a scenario platform: the
 // shared suite profiler when the platform matches (so `memdis all` pays
-// nothing extra for the baseline column), otherwise a per-scenario profiler
-// memoized on the suite so repeated sweeps reuse the profile caches.
+// nothing extra for the baseline column), otherwise a profiler drawing
+// from the suite's shared cache. Dependency keys make cross-platform
+// sharing sound, so a scenario differing from the base only in link
+// parameters reuses the base's link-independent profiles, and a profiler
+// holds nothing else worth keeping.
 func (s *Suite) profilerFor(sp scenario.Spec) *core.Profiler {
 	if sp.Platform == s.Cfg {
 		return s.Profiler
 	}
-	s.scenMu.Lock()
-	defer s.scenMu.Unlock()
-	if s.scenProfs == nil {
-		s.scenProfs = map[string]*core.Profiler{}
-	}
-	if p, ok := s.scenProfs[sp.Name]; ok && p.Config() == sp.Platform {
-		return p
-	}
-	// Per-scenario profilers draw from the suite's shared cache: dependency
-	// keys make cross-platform sharing sound, so a scenario differing from
-	// the base only in link parameters reuses the base's link-independent
-	// profiles.
-	p := core.NewProfilerShared(sp.Platform, s.Profiler.Cache())
-	s.scenProfs[sp.Name] = p
-	return p
+	return core.NewProfilerShared(sp.Platform, s.Profiler.Cache())
 }
 
 // scenarioSeed derives the deterministic base seed of the (scenario,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -35,21 +34,14 @@ func (s *Suite) SweepGrid(axes []sweep.Axis) sweep.Grid {
 	return sweep.Grid{Base: s.baseSpec(), Axes: axes}
 }
 
-// campaignEntry is one single-flight memo slot of Suite.RunSweepContext.
-type campaignEntry struct {
-	once sync.Once
-	c    *sweep.Campaign
-	err  error
-}
-
 // MaxCampaigns bounds the campaign memo. Grid keys are request-controlled
 // on the serve path (`GET /v1/sweep?axis=...`), and each memoized campaign
-// holds every cell of an executed grid — an unbounded map would let a
+// holds every cell of an executed grid — an unbounded memo would let a
 // client grow server memory one query at a time (the same reason
-// report.Store refuses to memoize errors). When full, an arbitrary older
-// entry is evicted; eviction only costs recomputation, never changes
-// results. The HTTP layer bounds its memo of rendered sweep
-// representations by the same count.
+// report.Store refuses to memoize errors). When full, the oldest campaign
+// is evicted; eviction only costs recomputation, never changes results.
+// The HTTP layer bounds its memo of rendered sweep representations by the
+// same count.
 const MaxCampaigns = 16
 
 // RunSweepContext executes a campaign grid with the suite's workload
@@ -61,12 +53,12 @@ const MaxCampaigns = 16
 // Entries and Runs are configured before the first campaign runs, like
 // the other suite fields.)
 //
-// The campaign's fan-out draws from a context-carrying limiter, so once
-// ctx is done the call returns ctx.Err() within one cell boundary (see
-// sweep.Runner.RunContext). An abandoned campaign is never memoized — the
-// single-flight slot is dropped so the next request for the grid re-runs
-// it. Like the other context-first entry points, concurrent invocations
-// on one Suite serialize.
+// The call returns ctx.Err() as soon as ctx is done; the campaign then
+// stops within one cell boundary unless another caller still waits on it
+// (see sweep.Runner.RunContext). An abandoned or failed campaign is never
+// memoized, so the next request for the grid re-runs it. Like the other
+// context-first entry points, concurrent invocations on one Suite
+// serialize.
 func (s *Suite) RunSweepContext(ctx context.Context, g sweep.Grid) (*sweep.Campaign, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -84,29 +76,8 @@ func (s *Suite) RunSweepContext(ctx context.Context, g sweep.Grid) (*sweep.Campa
 // sweep/sensitivity drivers via defaultCampaign), where the installed
 // limiter is safe to read.
 func (s *Suite) runSweepLocked(ctx context.Context, g sweep.Grid) (*sweep.Campaign, error) {
-	key := g.Key()
-	s.sweepMu.Lock()
-	if s.sweeps == nil {
-		s.sweeps = map[string]*campaignEntry{}
-	}
-	e, ok := s.sweeps[key]
-	if !ok {
-		if len(s.sweeps) >= MaxCampaigns {
-			// Arbitrary-victim eviction of a bounded memo: which entry is
-			// dropped affects only recompute cost, never rendered output.
-			//repro:allow determinism — memo eviction victim choice never reaches results
-			for k := range s.sweeps {
-				if k != key {
-					delete(s.sweeps, k)
-					break
-				}
-			}
-		}
-		e = &campaignEntry{}
-		s.sweeps[key] = e
-	}
-	s.sweepMu.Unlock()
-	e.once.Do(func() {
+	l := s.lim()
+	return s.campaigns.Do(ctx, g.Key(), func(ctx context.Context) (*sweep.Campaign, error) {
 		r := &sweep.Runner{
 			Grid:         g,
 			Entries:      s.Entries,
@@ -114,18 +85,8 @@ func (s *Suite) runSweepLocked(ctx context.Context, g sweep.Grid) (*sweep.Campai
 			BaseProfiler: s.Profiler,
 			Cache:        s.Profiler.Cache(),
 		}
-		e.c, e.err = r.RunContext(ctx, s.lim())
+		return r.RunContext(ctx, l)
 	})
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-		// Do not let an abandoned execution poison the memo: a later,
-		// uncancelled request must be able to run the grid afresh.
-		s.sweepMu.Lock()
-		if s.sweeps[key] == e {
-			delete(s.sweeps, key)
-		}
-		s.sweepMu.Unlock()
-	}
-	return e.c, e.err
 }
 
 // defaultCampaign runs (or returns the memoized) default-grid campaign.

@@ -503,8 +503,13 @@ func (lj *liveJob) snapshot() Record {
 }
 
 // loadRecord reads and decodes a job record; missing records surface the
-// store's ErrNotExist.
+// store's ErrNotExist. So does an id other than the 16 lowercase hex
+// digits jobID issues: it names no record, whatever a store would make of
+// it as a key.
 func (m *Manager) loadRecord(id string) (Record, error) {
+	if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+		return Record{}, ErrNotExist
+	}
 	data, err := m.cfg.Store.Get(keyJob(id))
 	if err != nil {
 		return Record{}, err

@@ -159,20 +159,32 @@ func firstLine(s string) string {
 	return s
 }
 
-// TestUnknownJob pins the not-found mapping across the read surfaces.
+// TestUnknownJob pins the not-found mapping across the read surfaces, on
+// both stores: an id no job has and ids jobID could never issue, which
+// the disk store refuses as keys, are all unknown jobs.
 func TestUnknownJob(t *testing.T) {
-	m := testManager(t, NewMemStore(), 1)
-	if _, err := m.Get("feedfeedfeedfeed"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get(unknown) = %v, want ErrNotFound", err)
+	disk, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := m.Resume("feedfeedfeedfeed"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Resume(unknown) = %v, want ErrNotFound", err)
-	}
-	if _, err := m.Events("feedfeedfeedfeed"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Events(unknown) = %v, want ErrNotFound", err)
-	}
-	if _, err := m.Cancel("feedfeedfeedfeed"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Cancel(unknown) = %v, want ErrNotFound", err)
+	for _, st := range []Store{NewMemStore(), disk} {
+		m := testManager(t, st, 1)
+		for _, id := range []string{"feedfeedfeedfeed", "a..b", "../jobs", "FEEDFEEDFEEDFEED", ""} {
+			for _, c := range []struct {
+				name string
+				call func() error
+			}{
+				{"Get", func() error { _, err := m.Get(id); return err }},
+				{"Resume", func() error { _, err := m.Resume(id); return err }},
+				{"Events", func() error { _, err := m.Events(id); return err }},
+				{"Cancel", func() error { _, err := m.Cancel(id); return err }},
+				{"Artifact", func() error { _, err := m.Artifact(id, "sweep", report.FormatJSON); return err }},
+			} {
+				if err := c.call(); !errors.Is(err, ErrNotFound) {
+					t.Errorf("%T: %s(%q) = %v, want ErrNotFound", st, c.name, id, err)
+				}
+			}
+		}
 	}
 }
 

@@ -217,6 +217,7 @@ func TestClassify(t *testing.T) {
 		{"repro", KindLibrary | KindSurface},
 		{"repro/internal/core", KindLibrary | KindEngine},
 		{"repro/internal/report", KindLibrary | KindEngine},
+		{"repro/internal/memo", KindLibrary | KindEngine},
 		{"repro/internal/api", KindLibrary},
 		{"repro/internal/jobs", KindLibrary},
 		{"repro/internal/lbench", KindLibrary},

@@ -32,11 +32,13 @@ type Package struct {
 }
 
 // enginePackages are the deterministic core: every package whose rendered
-// output must be byte-identical at any -j. Benchmark and serving packages
-// (lbench, jobs, api, trace) are deliberately absent — they measure
-// wall-clock time and manage detached lifecycles by design.
+// output must be byte-identical at any -j, plus memo, whose eviction
+// decides which engine results stay memoized. Benchmark and serving
+// packages (lbench, jobs, api, trace) are deliberately absent — they
+// measure wall-clock time and manage detached lifecycles by design.
 var enginePackages = map[string]bool{
 	"repro/internal/core":        true,
+	"repro/internal/memo":        true,
 	"repro/internal/sched":       true,
 	"repro/internal/sweep":       true,
 	"repro/internal/experiments": true,

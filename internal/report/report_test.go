@@ -264,31 +264,37 @@ func TestRenderTextMalformedSeries(t *testing.T) {
 	}
 }
 
-// TestStorePutDuringRender pins the generation guard behind the
-// Doc/Artifact agreement: a Put landing between an in-flight Artifact's
-// document fetch and its render-cache write bumps the generation, which is
-// exactly the condition Artifact checks before caching, so the stale
-// render is discarded instead of being served forever.
+// TestStorePutDuringRender pins the Doc/Artifact agreement under a racing
+// Put: a Put landing while the document computes and the render waits on
+// it replaces the document and discards both flights. The render still
+// answers its own caller with what it rendered, but neither flight keeps
+// anything, so the next Artifact serves the new document.
 func TestStorePutDuringRender(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
 	st := NewStore(func(_ context.Context, platform, artifact string) (Doc, error) {
+		close(started)
+		<-release
 		return *New(artifact).Append(NoteBlock("v1\n")), nil
 	})
-	// The in-flight fetch, as Artifact performs it on a cache miss.
-	_, gen, err := st.doc(context.Background(), "baseline", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A Put races in before the render result is cached.
+	inflight := make(chan string, 1)
+	go func() {
+		out, err := st.Artifact(context.Background(), "baseline", "a", FormatText)
+		if err != nil {
+			t.Error(err)
+		}
+		inflight <- out
+	}()
+	<-started
 	st.Put("baseline", *New("a").Append(NoteBlock("v2\n")))
-	st.mu.Lock()
-	current := st.docs[[2]string{"baseline", "a"}].gen
-	st.mu.Unlock()
-	if current == gen {
-		t.Fatal("Put did not bump the generation; an in-flight stale render would be cached")
+	close(release)
+	if out := <-inflight; out != "v1\n" {
+		t.Errorf("the in-flight render answered %q, want the v1 it rendered", out)
 	}
-	// The next Artifact serves the new document.
 	if out, err := st.Artifact(context.Background(), "baseline", "a", FormatText); err != nil || out != "v2\n" {
 		t.Errorf("Artifact after racing Put = %q, %v; want v2", out, err)
+	}
+	if d, err := st.Doc(context.Background(), "baseline", "a"); err != nil || RenderText(d) != "v2\n" {
+		t.Errorf("Doc after racing Put = %q, %v; want v2", RenderText(d), err)
 	}
 }
 

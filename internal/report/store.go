@@ -4,7 +4,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"sync"
+
+	"repro/internal/memo"
 )
 
 // Source computes the document of one artifact on one platform. It is the
@@ -17,7 +18,9 @@ type Source func(ctx context.Context, platform, artifact string) (Doc, error)
 // Store memoizes artifact documents and their renders: each (platform,
 // artifact) document is computed once and each (platform, artifact, format)
 // render is produced once, no matter how many CLI writes or HTTP requests
-// ask for it.
+// ask for it. Neither memo is locked across source computation or
+// rendering, so cached responses stay instant while a cold document
+// computes.
 type Store struct {
 	src Source
 
@@ -28,31 +31,17 @@ type Store struct {
 	// immediately instead of queueing behind a long experiment.
 	compute chan struct{}
 
-	// mu guards docs and renderMu guards rendered; neither is ever held
-	// across source computation or rendering, so cached responses stay
-	// instant while a cold document computes. Lock order when both are
-	// needed: mu, then renderMu.
-	mu       sync.Mutex
-	docs     map[[2]string]docEntry
-	renderMu sync.Mutex
-	rendered map[[3]string]string
-}
-
-// docEntry is one memoized document plus its generation: Put bumps the
-// generation, and an in-flight render only caches if the document it
-// rendered is still current, so Doc and Artifact never disagree.
-type docEntry struct {
-	doc Doc
-	gen uint64
+	docs    *memo.Memo[[2]string, Doc]
+	renders *memo.Memo[[3]string, string]
 }
 
 // NewStore returns an empty store over the given source.
 func NewStore(src Source) *Store {
 	return &Store{
-		src:      src,
-		compute:  make(chan struct{}, 1),
-		docs:     map[[2]string]docEntry{},
-		rendered: map[[3]string]string{},
+		src:     src,
+		compute: make(chan struct{}, 1),
+		docs:    memo.New[[2]string, Doc](0, nil),
+		renders: memo.New[[3]string, string](0, nil),
 	}
 }
 
@@ -65,55 +54,31 @@ func NewStore(src Source) *Store {
 // Computation is serialized store-wide: concurrent requests for different
 // cold artifacts run one at a time, which keeps one suite's drivers from
 // running concurrently with each other (the suites parallelize internally).
-// The wait for the computation slot is context-aware — a cancelled caller
-// returns ctx.Err() immediately, even while another document computes —
-// and ctx is handed to the source, so the computation itself stops at its
-// next task boundary once ctx is done.
+// A caller whose ctx dies returns ctx.Err() immediately, even while another
+// document computes, and the computation itself stops at its next task
+// boundary once no caller waits on it.
 func (st *Store) Doc(ctx context.Context, platform, artifact string) (Doc, error) {
-	d, _, err := st.doc(ctx, platform, artifact)
-	return d, err
-}
-
-// cached returns the memoized entry for a key, if present.
-func (st *Store) cached(key [2]string) (docEntry, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.docs[key]
-	return e, ok
-}
-
-// doc is Doc plus the entry's generation for Artifact's cache guard.
-func (st *Store) doc(ctx context.Context, platform, artifact string) (Doc, uint64, error) {
 	key := [2]string{platform, artifact}
-	if e, ok := st.cached(key); ok {
-		return e.doc, e.gen, nil
-	}
-	// Cold: take the store-wide computation slot, abandoning on ctx death.
-	select {
-	case st.compute <- struct{}{}:
-		defer func() { <-st.compute }()
-	case <-ctx.Done():
-		return Doc{}, 0, ctx.Err()
-	}
-	// Another holder of the slot (or a Put) may have filled the entry while
-	// we waited.
-	if e, ok := st.cached(key); ok {
-		return e.doc, e.gen, nil
-	}
-	d, err := st.src(ctx, platform, artifact)
-	if err != nil {
-		return Doc{}, 0, err
-	}
-	if d.Platform == "" {
-		d.Platform = platform
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// A concurrent Put may have landed during computation; matching its
-	// generation bump keeps the Artifact cache guard sound either way.
-	gen := st.docs[key].gen + 1
-	st.docs[key] = docEntry{doc: d, gen: gen}
-	return d, gen, nil
+	return st.docs.Do(ctx, key, func(ctx context.Context) (Doc, error) {
+		select {
+		case st.compute <- struct{}{}:
+			defer func() { <-st.compute }()
+		case <-ctx.Done():
+			return Doc{}, ctx.Err()
+		}
+		// A Put may have filled the key while this computation waited.
+		if d, ok := st.docs.Get(key); ok {
+			return d, nil
+		}
+		d, err := st.src(ctx, platform, artifact)
+		if err != nil {
+			return Doc{}, err
+		}
+		if d.Platform == "" {
+			d.Platform = platform
+		}
+		return d, nil
+	})
 }
 
 // Put seeds the store with a precomputed document keyed by the given
@@ -124,17 +89,14 @@ func (st *Store) Put(platform string, d Doc) {
 	if d.Platform == "" {
 		d.Platform = platform
 	}
-	key := [2]string{platform, d.Artifact}
-	st.mu.Lock()
-	st.docs[key] = docEntry{doc: d, gen: st.docs[key].gen + 1}
-	// Drop any renders of a previously stored document so Doc and Artifact
-	// never disagree after a re-Put.
-	st.renderMu.Lock()
+	st.docs.Put([2]string{platform, d.Artifact}, d)
+	// Drop the renders of a previously stored document, and discard any
+	// render still in flight, so Doc and Artifact never disagree after a
+	// re-Put. The document goes in first: a render started from here on
+	// reads it.
 	for _, f := range Formats {
-		delete(st.rendered, [3]string{platform, d.Artifact, string(f)})
+		st.renders.Drop([3]string{platform, d.Artifact, string(f)})
 	}
-	st.renderMu.Unlock()
-	st.mu.Unlock()
 }
 
 // Artifact returns the memoized render of an artifact on a platform in a
@@ -142,30 +104,16 @@ func (st *Store) Put(platform string, d Doc) {
 // so cold computations of other artifacts never block cached responses.
 func (st *Store) Artifact(ctx context.Context, platform, artifact string, f Format) (string, error) {
 	key := [3]string{platform, artifact, string(f)}
-	st.renderMu.Lock()
-	out, ok := st.rendered[key]
-	st.renderMu.Unlock()
-	if ok {
+	if out, ok := st.renders.Get(key); ok {
 		return out, nil
 	}
-	d, gen, err := st.doc(ctx, platform, artifact)
-	if err != nil {
-		return "", err
-	}
-	out, err = Render(d, f)
-	if err != nil {
-		return "", err
-	}
-	st.mu.Lock()
-	// Cache only if the document we rendered is still the stored one — a
-	// concurrent Put may have replaced it while we rendered.
-	if st.docs[[2]string{platform, artifact}].gen == gen {
-		st.renderMu.Lock()
-		st.rendered[key] = out
-		st.renderMu.Unlock()
-	}
-	st.mu.Unlock()
-	return out, nil
+	return st.renders.Do(ctx, key, func(ctx context.Context) (string, error) {
+		d, err := st.Doc(ctx, platform, artifact)
+		if err != nil {
+			return "", err
+		}
+		return Render(d, f)
+	})
 }
 
 // WriteDir renders each artifact in each format and writes the files into
@@ -195,12 +143,8 @@ func (st *Store) WriteDir(ctx context.Context, dir, platform string, artifacts [
 	return paths, nil
 }
 
-// Cached reports how many documents and renders the store currently holds
-// (for tests and diagnostics).
+// Cached reports how many documents and renders the store currently
+// holds, finished or in flight (for tests and diagnostics).
 func (st *Store) Cached() (docs, renders int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.renderMu.Lock()
-	defer st.renderMu.Unlock()
-	return len(st.docs), len(st.rendered)
+	return st.docs.Len(), st.renders.Len()
 }

@@ -131,7 +131,6 @@ func (x *XSBench) Run(m *machine.Machine) {
 	// ---- p2: cross-section lookups ---------------------------------------
 	m.StartPhase("p2")
 	checksum := 0.0
-	macro := make([]float64, NumXS-1)
 	recs := make([]int, nn) // each nuclide's lower bracketing record
 	tickEvery := x.Lookups / 10
 	if tickEvery == 0 {
@@ -157,16 +156,16 @@ func (x *XSBench) Run(m *machine.Machine) {
 		}
 		// One index-grid row.
 		m.Read(index.Base+uint64(u*nn)*4, rowBytes)
-		for c := range macro {
-			macro[c] = 0
-		}
 		// Gather the bracketing gridpoints from every nuclide and
-		// interpolate each channel: first on the host, then as simulated
-		// reads in the same nuclide order. No kernel reads machine state
-		// and no host value reaches the machine, so the op stream and the
-		// checksum are those of one loop doing both, while the host pass's
-		// loads from the grids overlap instead of each waiting behind two
-		// simulated reads.
+		// interpolate: first on the host, then as simulated reads of both
+		// whole records in the same nuclide order. No kernel reads machine
+		// state and no host value reaches the machine, so the op stream and
+		// the checksum are those of one loop doing both, while the host
+		// pass's loads from the grids overlap instead of each waiting
+		// behind two simulated reads. The checksum reads only the first
+		// cross-section channel, so the host interpolates only that one;
+		// the simulated reads and flops cover every channel.
+		macro := 0.0
 		for n := 0; n < nn; n++ {
 			gi := int(indexData[u*nn+n])
 			if gi >= g-1 {
@@ -187,17 +186,14 @@ func (x *XSBench) Run(m *machine.Machine) {
 			if f > 1 {
 				f = 1
 			}
-			for c := 1; c < NumXS; c++ {
-				v := nucGrids.Data[recLo+c] + f*(nucGrids.Data[recHi+c]-nucGrids.Data[recLo+c])
-				macro[c-1] += v
-			}
+			macro += nucGrids.Data[recLo+1] + f*(nucGrids.Data[recHi+1]-nucGrids.Data[recLo+1])
 		}
 		for _, recLo := range recs {
 			nucGrids.ReadRange(recLo, NumXS)
 			nucGrids.ReadRange(recLo+NumXS, NumXS)
 			m.AddFlops(float64(3 + 3*(NumXS-1)))
 		}
-		checksum += macro[0]
+		checksum += macro
 		if (l+1)%tickEvery == 0 {
 			m.Tick()
 		}

@@ -376,7 +376,9 @@ func (s *Service) Grid(platform string, axes ...SweepAxis) (SweepGrid, error) {
 // suite — the "sweep"/"sensitivity" artifacts and repeated HTTP queries
 // for the same grid share one execution — while grids over unregistered
 // base specs run unmemoized. Validation failures match ErrInvalidSweep;
-// once ctx is done the campaign stops within one cell boundary, returns ctx.Err(), leaks no goroutines, and is not memoized.
+// once ctx is done the call returns ctx.Err(), and the campaign, unless
+// another caller still waits on it, stops within one cell boundary, leaks
+// no goroutines and is not memoized.
 func (s *Service) Sweep(ctx context.Context, g SweepGrid) (*SweepCampaign, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
