@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,7 +41,18 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
 	} else if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		// A field the request does not know is an error, not a default:
+		// {"axis": ...} or {"runs": ...} would otherwise launch a campaign
+		// the client did not declare.
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&req)
+		if err == nil {
+			if _, terr := dec.Token(); terr != io.EOF {
+				err = errors.New("trailing data after the request object")
+			}
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("malformed job request: %w", err))
 			return
 		}

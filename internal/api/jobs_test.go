@@ -159,12 +159,21 @@ func TestJobRouteErrors(t *testing.T) {
 		t.Errorf("GET unknown artifact of a done job = %d, want 404", st)
 	}
 
-	// Malformed declarations: bad JSON, bad axis, resume+declaration mix.
-	for _, body := range []string{`{not json`, `{"axes":["volts=1,2"]}`, `{"id":"x","axes":["gen=0"]}`} {
-		st, b, _ := postJob(t, srv, body)
+	// Malformed declarations: bad JSON, bad axis, resume+declaration mix,
+	// fields the request does not know (the /v1/sweep query spelling, a
+	// run count), which the answer names, and trailing data.
+	for _, c := range []struct{ body, names string }{
+		{`{not json`, ""},
+		{`{"axes":["volts=1,2"]}`, ""},
+		{`{"id":"x","axes":["gen=0"]}`, ""},
+		{`{"axis":["gen=0,5"]}`, `\"axis\"`},
+		{`{"axes":["gen=0"],"runs":5}`, `\"runs\"`},
+		{`{"axes":["gen=0"]} {}`, ""},
+	} {
+		st, b, _ := postJob(t, srv, c.body)
 		envelope(t, b, st)
-		if st != http.StatusBadRequest {
-			t.Errorf("POST %s = %d, want 400", body, st)
+		if st != http.StatusBadRequest || !strings.Contains(b, c.names) {
+			t.Errorf("POST %s = %d %s, want 400 naming %s", c.body, st, b, c.names)
 		}
 	}
 

@@ -21,7 +21,11 @@
 // the same time: every simulated run owns the RNG substream of its run
 // index (stats.RNG.Stream), so DistributionLimited and CompareLimited
 // produce byte-identical results whether executed sequentially or across a
-// worker pool of any size.
+// worker pool of any size. Within one worker, runs go in lock-step blocks
+// of machine.Lanes: one machine.Evaluator.PhaseTimes call solves the
+// current phase for every run of the block still in it, so the runs'
+// fixed-point iterations overlap in the CPU. No run reads another's state,
+// so each run's time is bit for bit the one SimulateRun gives it alone.
 package sched
 
 import (
@@ -52,65 +56,99 @@ func Aware() Interference { return Interference{MaxLoI: 0.2, Period: 60} }
 // SimulateRun executes one run of the profiled phases under the interference
 // process, advancing the piecewise-constant interference level at every
 // Period boundary. Within a constant-LoI window the phase progresses at rate
-// 1/T(LoI); the run time is the total simulated wall clock.
+// 1/T(LoI); the run time is the total simulated wall clock. rng advances by
+// the run's draws: one initial level, then one per re-roll the run crosses.
 //
-// Distributions of many runs over the same (cfg, phases) should go through
-// DistributionLimited/CompareLimited, which build the phase evaluator once
-// and share it across runs instead of paying the timing-model setup per run.
+// SimulateRun is the one-run case of the lock-step simulation
+// DistributionLimited/CompareLimited run on blocks of machine.Lanes runs,
+// which also build the phase evaluator once and share it across runs
+// instead of paying the timing-model setup per run.
 func SimulateRun(cfg machine.Config, phases []machine.PhaseStats, pol Interference, rng *stats.RNG) float64 {
-	return simulateRun(machine.NewEvaluator(cfg, phases), pol, rng)
+	rngs := []stats.RNG{*rng}
+	var t [1]float64
+	simulateRuns(machine.NewEvaluator(cfg, phases), pol, rngs, t[:])
+	*rng = rngs[0]
+	return t[0]
 }
 
-// simulateRun is SimulateRun on a prebuilt evaluator: the Monte-Carlo hot
-// path. The evaluator returns bit-identical times to Config.PhaseTime, so
-// the simulated wall clock matches the direct implementation exactly.
-func simulateRun(ev *machine.Evaluator, pol Interference, rng *stats.RNG) float64 {
+// simulateRuns is SimulateRun for up to machine.Lanes runs in lock step on
+// a prebuilt evaluator: the Monte-Carlo hot path. Run r draws from rngs[r]
+// and its simulated wall clock goes to times[r]. One evaluator call per
+// round solves the current phase for every run still in it, so the runs'
+// fixed points overlap. A run leaves the phase when it finishes before its
+// next re-roll or its phase time is not positive; one that crosses a
+// re-roll draws its next level from its own substream and stays while any
+// of the phase remains. So every run performs the operations and draws of
+// a run simulated alone, in the same order, and reads no other run's
+// state; the evaluator is bit-identical to Config.PhaseTime.
+func simulateRuns(ev *machine.Evaluator, pol Interference, rngs []stats.RNG, times []float64) {
 	if pol.Period <= 0 {
 		pol.Period = 60
 	}
-	now := 0.0
-	loi := rng.Float64() * pol.MaxLoI
-	nextRoll := pol.Period
-	for pi, n := 0, ev.Len(); pi < n; pi++ {
-		remaining := 1.0 // fraction of the phase left
-		for remaining > 1e-12 {
-			t := ev.PhaseTime(pi, loi)
-			if t <= 0 {
-				break
+	var loi, nextRoll, remaining, lois, ts [machine.Lanes]float64
+	var in [machine.Lanes]int // the runs still in the current phase
+	now := times[:len(rngs)]
+	for r := range rngs {
+		now[r] = 0
+		loi[r] = rngs[r].Float64() * pol.MaxLoI
+		nextRoll[r] = pol.Period
+	}
+	for pi, np := 0, ev.Len(); pi < np; pi++ {
+		for r := range rngs {
+			in[r], remaining[r] = r, 1 // remaining: fraction of the phase left
+		}
+		for m := len(rngs); m > 0; {
+			for j, r := range in[:m] {
+				lois[j] = loi[r]
 			}
-			finish := remaining * t
-			if now+finish <= nextRoll {
-				now += finish
-				remaining = 0
-				break
+			ev.PhaseTimes(pi, lois[:m], ts[:m])
+			kept := 0
+			for j, r := range in[:m] {
+				t := ts[j]
+				if t <= 0 {
+					continue
+				}
+				finish := remaining[r] * t
+				if now[r]+finish <= nextRoll[r] {
+					now[r] += finish
+					continue
+				}
+				// Progress until the next interference re-roll.
+				dt := nextRoll[r] - now[r]
+				remaining[r] -= dt / t
+				now[r] = nextRoll[r]
+				loi[r] = rngs[r].Float64() * pol.MaxLoI
+				nextRoll[r] += pol.Period
+				if remaining[r] > 1e-12 {
+					in[kept] = r
+					kept++
+				}
 			}
-			// Progress until the next interference re-roll.
-			dt := nextRoll - now
-			remaining -= dt / t
-			now = nextRoll
-			loi = rng.Float64() * pol.MaxLoI
-			nextRoll += pol.Period
+			m = kept
 		}
 	}
-	return now
 }
 
 // DistributionLimited runs n independent simulations, drawing workers from
 // a shared concurrency limiter (nil runs sequentially) so callers that are
 // themselves part of a parallel sweep (the Figure 13 driver) stay inside
-// one global budget. Each run i owns the deterministic RNG substream
-// stats.NewRNG(seed).Stream(i), so times[i] depends only on (seed, i): the
-// returned slice is byte-identical for any limiter width.
+// one global budget. The limiter's tasks are blocks of up to machine.Lanes
+// consecutive runs simulated in lock step. Each run i owns the
+// deterministic RNG substream stats.NewRNG(seed).Stream(i), so times[i]
+// depends only on (seed, i): the returned slice is byte-identical for any
+// limiter width.
 func DistributionLimited(cfg machine.Config, phases []machine.PhaseStats, pol Interference, n int, seed uint64, l *pool.Limiter) []float64 {
 	// Substreams derives all n substream states in one O(n) pass over the
 	// jump chain and one allocation; substream i is identical to
 	// stats.NewRNG(seed).Stream(i). The phase evaluator is built once and
-	// shared read-only by every run.
+	// shared read-only by every block.
 	rngs := stats.NewRNG(seed).Substreams(n)
 	times := make([]float64, n)
 	ev := machine.NewEvaluator(cfg, phases)
-	l.ForEach(n, func(i int) {
-		times[i] = simulateRun(ev, pol, &rngs[i])
+	l.ForEach((n+machine.Lanes-1)/machine.Lanes, func(b int) {
+		lo := b * machine.Lanes
+		hi := min(lo+machine.Lanes, n)
+		simulateRuns(ev, pol, rngs[lo:hi], times[lo:hi])
 	})
 	return times
 }

@@ -111,9 +111,10 @@ func (r *RNG) Jump() { r.applyJump(jumpPoly) }
 func (r *RNG) LongJump() {
 	var s0, s1, s2, s3 uint64
 	for w, x := range r.s {
-		rows := longJumpTable[16*w : 16*w+16]
+		rows := (*[16][16][4]uint64)(longJumpTable[16*w : 16*w+16])
 		for k := range rows {
-			row := &rows[k][x>>(4*k)&15]
+			row := &rows[k][x&15]
+			x >>= 4
 			s0 ^= row[0]
 			s1 ^= row[1]
 			s2 ^= row[2]
